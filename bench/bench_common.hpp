@@ -44,7 +44,6 @@
 #include "common/error.hpp"
 #include "common/report.hpp"
 #include "idg/backend.hpp"
-#include "kernels/autotune.hpp"
 #include "kernels/optimized.hpp"
 #include "idg/supervisor.hpp"
 #include "idg/parameters.hpp"
@@ -192,65 +191,9 @@ inline void maybe_write_json(const obs::MetricsSnapshot& snapshot,
   }
 }
 
-/// Splits a comma-separated --candidates list.
-inline std::vector<std::string> split_comma_list(const std::string& list) {
-  std::vector<std::string> out;
-  std::string item;
-  for (char c : list) {
-    if (c == ',') {
-      if (!item.empty()) out.push_back(item);
-      item.clear();
-    } else {
-      item += c;
-    }
-  }
-  if (!item.empty()) out.push_back(item);
-  return out;
-}
-
-/// Translates the shared tuning knobs (--warmup, --repeats, --candidates)
-/// into AutotuneOptions.
-inline kernels::AutotuneOptions autotune_options_from(const Options& opts) {
-  kernels::AutotuneOptions tune;
-  tune.warmup = static_cast<int>(opts.get("warmup", static_cast<long>(tune.warmup)));
-  tune.repeats =
-      static_cast<int>(opts.get("repeats", static_cast<long>(tune.repeats)));
-  if (opts.has("candidates"))
-    tune.candidates = split_comma_list(opts.get("candidates", std::string{}));
-  return tune;
-}
-
 /// Resolves the kernel set a bench runs: --kernel-set NAME (or the legacy
-/// --kernels NAME) selects a registry entry, default "optimized". With
-/// --tune, the autotuner first benchmarks the candidate family on this
-/// setup's (subgrid_size, nr_channels, nr_stations) shape with min-of-N
-/// discipline, persists the winners into the tuning database (--tune-db
-/// PATH, default the per-host cache file) and the run proceeds with the
-/// "tuned" dispatch consulting that database.
-inline const KernelSet& kernel_set_from_options(const Options& opts,
-                                                const Parameters& params,
-                                                std::size_t nr_channels) {
-  if (opts.flag("tune")) {
-    const std::string db_path =
-        opts.get("tune-db", kernels::default_tuning_database_path());
-    kernels::TuningDatabase db;
-    try {
-      db = kernels::TuningDatabase::load(db_path);
-    } catch (const Error&) {
-      // Missing or unusable database: start fresh.
-    }
-    const auto results =
-        kernels::autotune(db, params, nr_channels, autotune_options_from(opts));
-    db.save(db_path);
-    kernels::reload_process_tuning_database(db_path);
-    for (const kernels::AutotuneResult& r : results) {
-      std::cout << "   tuned " << to_string(r.entry.op) << ": "
-                << r.entry.kernel_set << " (" << r.entry.speedup()
-                << "x optimized)\n";
-    }
-    std::cout << "   (tuning database: " << db_path << ")\n";
-    return kernels::kernel_set("tuned");
-  }
+/// --kernels NAME) selects a registry entry, default "optimized".
+inline const KernelSet& kernel_set_from_options(const Options& opts) {
   std::string name = opts.get("kernel-set", std::string{});
   if (name.empty()) name = opts.get("kernels", std::string("optimized"));
   return kernels::kernel_set(name);

@@ -139,8 +139,8 @@ SweepPoint run_point(double epsilon, const sim::BenchmarkConfig& base_cfg,
          {dist(rng), dist(rng)},
          {dist(rng), dist(rng)}};
 
-  // The tier's preferred kernel set (LUT sincos for preview, the
-  // accumulation-honouring reference set for the tighter tiers).
+  // The tier's preferred kernel set (optimized vmath sincos for preview,
+  // the accumulation-honouring reference set for the tighter tiers).
   point.kernels = accuracy::preferred_kernel_set(params);
   const KernelSet& kernels = kernels::kernel_set(point.kernels);
   auto backend = bench::backend_from_options(opts, params, kernels);

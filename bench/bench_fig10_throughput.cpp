@@ -22,8 +22,7 @@ int main(int argc, char** argv) {
   auto setup = bench::make_setup(opts);
   bench::print_header("Fig 10: gridding/degridding throughput", setup);
 
-  const KernelSet& kernels = bench::kernel_set_from_options(
-      opts, setup.params, static_cast<std::size_t>(setup.config.nr_channels));
+  const KernelSet& kernels = bench::kernel_set_from_options(opts);
   auto backend = bench::backend_from_options(opts, setup.params, kernels);
   Array3D<cfloat> grid(4, setup.params.grid_size, setup.params.grid_size);
 

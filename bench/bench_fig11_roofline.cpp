@@ -67,8 +67,7 @@ int main(int argc, char** argv) {
   // Measured host rows: run both directions through the selected backend;
   // the sinks accumulate measured seconds AND the plan's analytic counts,
   // which attribute_roofline joins against the host's ceilings.
-  const KernelSet& kernels = bench::kernel_set_from_options(
-      opts, setup.params, static_cast<std::size_t>(setup.config.nr_channels));
+  const KernelSet& kernels = bench::kernel_set_from_options(opts);
   auto backend = bench::backend_from_options(opts, setup.params, kernels);
   Array3D<cfloat> grid(4, setup.params.grid_size, setup.params.grid_size);
   obs::AggregateSink gt, dt;

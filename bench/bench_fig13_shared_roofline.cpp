@@ -62,8 +62,7 @@ int main(int argc, char** argv) {
   // Measured contrast: the same kernels on this host, attributed against
   // the host's rooflines (no shared tier -> op-mix / device bandwidth
   // bound instead).
-  const KernelSet& kernels = bench::kernel_set_from_options(
-      opts, setup.params, static_cast<std::size_t>(setup.config.nr_channels));
+  const KernelSet& kernels = bench::kernel_set_from_options(opts);
   auto backend = bench::backend_from_options(opts, setup.params, kernels);
   Array3D<cfloat> grid(4, setup.params.grid_size, setup.params.grid_size);
   obs::AggregateSink gt, dt;

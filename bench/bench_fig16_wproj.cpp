@@ -69,8 +69,7 @@ int main(int argc, char** argv) {
   }
 
   // --- IDG sweep over subgrid size N-tilde ----------------------------------------
-  const KernelSet& kernels = bench::kernel_set_from_options(
-      opts, setup.params, static_cast<std::size_t>(setup.config.nr_channels));
+  const KernelSet& kernels = bench::kernel_set_from_options(opts);
   for (long n : {8L, 16L, 24L, 32L}) {
     Parameters p = setup.params;
     p.subgrid_size = static_cast<std::size_t>(n);

@@ -1,13 +1,13 @@
 // google-benchmark microbenchmarks for the individual components: kernel
-// variants (the §V-B optimization ablation plus the coarsened family of
-// DESIGN.md §14), subgrid FFTs, adder/splitter and the vectorized math
-// library.
+// variants (the §V-B optimization ablation, DESIGN.md §14), subgrid FFTs,
+// adder/splitter and the vectorized math library.
 //
 // The gridder/degridder benches are registered dynamically over the kernel
 // registry:
 //
 //   bench_kernels                       sweep every registered variant
-//   bench_kernels --kernel-set tuned    benchmark one named variant
+//   bench_kernels --kernel-set optimized-lut
+//                                       benchmark one named variant
 //   bench_kernels --kernel-set all --json-dir out/
 //                                       additionally emit one comparable
 //                                       idg-obs JSON per variant

@@ -41,8 +41,8 @@ int main(int argc, char** argv) {
   host_table.row().add("vmath sincos/s (measured)").add(si_format(caps.sincos_per_second) + "sincos/s");
   host_table.row().add("sincos cost (FMA slots)").add(host.sincos_fma_slots, 1);
   host_table.row().add("mem bw (GB/s, measured)").add(caps.mem_bw_gbs, 1);
-  // Counter access status (not part of the tuning fingerprint): whether
-  // --hw runs on this host can carry measured IPC / LLC-miss rates.
+  // Counter access status: whether --hw runs on this host can carry
+  // measured IPC / LLC-miss rates.
   const auto& perf = arch::host_perf_counter_status();
   host_table.row().add("perf_event_paranoid").add(perf.paranoid_level);
   host_table.row()

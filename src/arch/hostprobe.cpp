@@ -7,7 +7,6 @@
 
 #include "common/aligned.hpp"
 #include "common/timer.hpp"
-#include "kernels/autotune.hpp"
 #include "kernels/vmath.hpp"
 #include "obs/perfcounters.hpp"
 
@@ -107,8 +106,6 @@ const HostCapabilities& probe_host() {
   }();
   return caps;
 }
-
-std::string host_fingerprint() { return kernels::host_fingerprint(); }
 
 const PerfCounterStatus& host_perf_counter_status() {
   static const PerfCounterStatus status = [] {

@@ -20,18 +20,7 @@ struct HostCapabilities {
 /// first call.
 const HostCapabilities& probe_host();
 
-/// Stable identity string of this host (uname machine + CPU model name +
-/// hardware thread count). Deliberately timing-free — unlike probe_host()
-/// it is identical run to run — so it keys the per-host tuning database
-/// (kernels/autotune.hpp, which this delegates to).
-std::string host_fingerprint();
-
 /// Hardware perf-counter access on this host (DESIGN.md §15).
-///
-/// Deliberately NOT folded into host_fingerprint(): counter access varies
-/// with kernel settings and container privileges, and must not invalidate
-/// a host's idg-tune/v1 database — the machine is the same machine whether
-/// or not we may watch its counters.
 struct PerfCounterStatus {
   int paranoid_level = 0;  ///< /proc/sys/kernel/perf_event_paranoid
                            ///  (obs::kPerfParanoidUnknown when unreadable)

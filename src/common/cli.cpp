@@ -49,23 +49,27 @@ void Options::parse(int argc, const char* const* argv,
     std::string name = arg.substr(2);
     std::string value;
     const auto eq = name.find('=');
-    const bool is_flag =
-        eq == std::string::npos && contains(flag_names, name);
     if (eq != std::string::npos) {
       value = name.substr(eq + 1);
       name = name.substr(0, eq);
-    } else if (is_flag) {
-      value = "1";
-    } else if (i + 1 < argc) {
-      value = argv[++i];
-    } else {
-      problems.push_back("option --" + name + " expects a value");
-      continue;
     }
-    if (known_options != nullptr && !contains(*known_options, name) &&
-        !contains(flag_names, name)) {
+    const bool is_flag = contains(flag_names, name);
+    // An unknown name is reported as such (before it could swallow the
+    // next token as its value or be misreported as missing one).
+    if (known_options != nullptr && !is_flag &&
+        !contains(*known_options, name)) {
       problems.push_back("unknown option --" + name);
       continue;
+    }
+    if (eq == std::string::npos) {
+      if (is_flag) {
+        value = "1";
+      } else if (i + 1 < argc) {
+        value = argv[++i];
+      } else {
+        problems.push_back("option --" + name + " expects a value");
+        continue;
+      }
     }
     if (values_.count(name) != 0) {
       problems.push_back("duplicate option --" + name);
@@ -122,15 +126,14 @@ double Options::get(const std::string& name, double fallback) const {
 
 const std::vector<std::string>& standard_option_catalogue() {
   static const std::vector<std::string> options = {
-      "aterm-interval", "backend",    "bad-policy",        "candidates",
-      "channels",       "checkpoint", "csv",               "cycles",
-      "deadline-ms",    "epsilon",    "flag-fraction",     "grid",
-      "heartbeat-ms",   "json",       "kernel-set",        "kernel-size",
-      "kernels",        "max-nw",     "max-timesteps",     "phase-rms",
-      "repeats",        "resume",     "retries",           "save-pgm",
-      "seconds-per-point", "shards",  "stations",          "subgrid",
-      "support",        "tile-size",  "time",              "trace",
-      "tune-db",        "w-planes",   "w-scale",           "warmup",
+      "aterm-interval", "backend",    "bad-policy",    "channels",
+      "checkpoint",     "csv",        "cycles",        "deadline-ms",
+      "epsilon",        "flag-fraction", "grid",       "heartbeat-ms",
+      "json",           "kernel-set", "kernel-size",   "kernels",
+      "max-nw",         "max-timesteps", "phase-rms",  "resume",
+      "retries",        "save-pgm",   "seconds-per-point", "shards",
+      "stations",       "subgrid",    "support",       "tile-size",
+      "time",           "trace",      "w-planes",      "w-scale",
       "workers",
   };
   return options;
@@ -138,8 +141,7 @@ const std::vector<std::string>& standard_option_catalogue() {
 
 const std::vector<std::string>& standard_flag_names() {
   static const std::vector<std::string> flags = {
-      "paper", "help", "verbose", "sorted", "unsorted", "sweep", "tune",
-      "hw",
+      "paper", "help", "verbose", "sorted", "unsorted", "sweep", "hw",
   };
   return flags;
 }

@@ -64,10 +64,8 @@ class Options {
 const std::vector<std::string>& standard_option_catalogue();
 
 /// The shared boolean flags (--paper, --help, --verbose, --sorted,
-/// --unsorted, --sweep, --tune — runs the kernel autotuner for the
-/// bench's shape before the measured run, see kernels/autotune.hpp — and
-/// --hw, which samples hardware perf_event counters per stage when the
-/// host permits, see obs/perfcounters.hpp).
+/// --unsorted, --sweep and --hw, which samples hardware perf_event
+/// counters per stage when the host permits, see obs/perfcounters.hpp).
 const std::vector<std::string>& standard_flag_names();
 
 /// Parses argv against the shared catalogue: unknown and duplicate options

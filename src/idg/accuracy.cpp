@@ -15,15 +15,12 @@ namespace {
 //   double reference + PSWF (k=8):             2.5e-4  .. 2.9e-4
 //   double reference + ES (k=12, sg=32):       1.2e-6  .. 3.1e-6
 // The tier bounds below keep >= ~3x margin against the worst measurement.
-// The preview tier prefers "tuned": the autotuned dispatch
-// (kernels/autotune.hpp) selects among the single-precision family —
-// every member of which sits at the same float phase-error floor as
-// optimized-lut — and falls back to "optimized" without a tuning
-// database. The double-accumulation tiers keep the reference kernels;
-// the tuned dispatch itself delegates to them under
-// Accumulation::kDouble, so "tuned" is contract-safe on every tier.
+// The preview tier prefers "optimized" (vmath sincos), which sits at the
+// same float phase-error floor as every single-precision kernel set. The
+// optimized kernels always accumulate in float, so the double-accumulation
+// tiers keep the reference kernels, which honour Accumulation::kDouble.
 constexpr TierConfig kTiers[] = {
-    {"preview", Accumulation::kSingle, TaperKind::kPSWF, 8, 0, "tuned"},
+    {"preview", Accumulation::kSingle, TaperKind::kPSWF, 8, 0, "optimized"},
     {"standard", Accumulation::kDouble, TaperKind::kPSWF, 8, 0, "reference"},
     {"science", Accumulation::kDouble, TaperKind::kES, 12, 32, "reference"},
 };

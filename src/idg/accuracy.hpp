@@ -31,11 +31,9 @@ struct TierConfig {
   std::size_t min_subgrid_size;  ///< subgrid_size is padded up to this
   /// Preferred kernel set (idg::kernels registry name). Advisory: the
   /// contract holds for any kernel set honouring `accumulation` (the
-  /// reference set does); the preview tier prefers "tuned" — the
-  /// autotuned dispatch over the single-precision family, every member of
-  /// which sits at the float phase-error floor — which falls back to
-  /// "optimized" when no tuning database exists and delegates to the
-  /// reference kernels under Accumulation::kDouble.
+  /// reference set does); the preview tier prefers "optimized", which
+  /// sits at the float phase-error floor; the double-accumulation tiers
+  /// prefer "reference".
   const char* kernel_set;
 };
 

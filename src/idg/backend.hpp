@@ -210,8 +210,8 @@ struct BackendOptions {
   /// path. Must outlive the returned backend.
   const KernelSet* kernels = nullptr;
 
-  /// Registry name of the kernel set to run ("tuned", "optimized",
-  /// "coarsen4x2c4", ...), resolved at make_backend() time when `kernels`
+  /// Registry name of the kernel set to run ("optimized",
+  /// "optimized-lut", ...), resolved at make_backend() time when `kernels`
   /// is null; empty keeps the `kernels`/reference behaviour above.
   /// "reference" always resolves; every other name needs the idg_kernels
   /// library linked (it installs the registry resolver below at static

@@ -3,8 +3,8 @@
 //
 // Real interferometer data is never clean — RFI flagging marks samples in a
 // per-visibility mask, and upstream processing can leak NaN/Inf. The
-// kernels themselves stay data-oblivious (they are pluggable: reference,
-// optimized, JIT — see idg/kernels.hpp), so the policy is enforced once
+// kernels themselves stay data-oblivious (they are pluggable kernel sets,
+// see idg/kernels.hpp), so the policy is enforced once
 // here, at the pipeline boundary, identically for every backend:
 //
 //   * kReject          — throw a descriptive idg::Error at the first bad

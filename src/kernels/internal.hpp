@@ -1,4 +1,4 @@
-// Internal helpers shared by the optimized and runtime-compiled kernels:
+// Internal helpers shared by the optimized and phasor kernels:
 // per-thread scratch buffers, geometry precomputation and the visibility
 // batch gather/transpose (paper §V-B optimization (1)).
 //

@@ -6,10 +6,7 @@
 
 #include "common/error.hpp"
 #include "idg/backend.hpp"
-#include "kernels/autotune.hpp"
-#include "kernels/coarsen.hpp"
 #include "kernels/internal.hpp"
-#include "kernels/jit.hpp"
 #include "kernels/vmath.hpp"
 
 namespace idg::kernels {
@@ -224,12 +221,6 @@ const KernelSet& kernel_set(const std::string& name) {
   if (name == "optimized-lut") return optimized_lut_kernels();
   if (name == "optimized-libm") return optimized_libm_kernels();
   if (name == "optimized-phasor") return optimized_phasor_kernels();
-  if (name == "jit") return jit_kernels();
-  if (name == "tuned") return tuned_kernels();
-  for (const KernelSet* set : coarsened_kernel_sets())
-    if (set->name() == name) return *set;
-  for (const KernelSet* set : jit_coarsened_kernel_sets())
-    if (set->name() == name) return *set;
   std::string known;
   for (const std::string& n : kernel_set_names())
     known += (known.empty() ? "" : " | ") + n;
@@ -237,14 +228,8 @@ const KernelSet& kernel_set(const std::string& name) {
 }
 
 std::vector<std::string> kernel_set_names() {
-  std::vector<std::string> names = {"reference",        "optimized",
-                                    "optimized-lut",    "optimized-libm",
-                                    "optimized-phasor", "jit",
-                                    "tuned"};
-  for (const std::string& n : coarsened_variant_names()) names.push_back(n);
-  for (const std::string& n : jit_coarsened_variant_names())
-    names.push_back(n);
-  return names;
+  return {"reference", "optimized", "optimized-lut", "optimized-libm",
+          "optimized-phasor"};
 }
 
 namespace {

@@ -43,11 +43,8 @@ const KernelSet& optimized_libm_kernels();  // scalar libm
 const KernelSet& optimized_phasor_kernels();
 
 /// Lookup by name: "reference", "optimized", "optimized-lut",
-/// "optimized-libm", "optimized-phasor", "jit", "tuned" (tuning-database
-/// dispatch, kernels/autotune.hpp), the statically-instantiated coarsened
-/// family "coarsen<V>x<P>c<C>" (kernels/coarsen.hpp) and its
-/// runtime-compiled twins "jit-coarsen<V>x<P>c<C>". Throws idg::Error for
-/// unknown names. Linking this library also installs the registry as the
+/// "optimized-libm", "optimized-phasor". Throws idg::Error for unknown
+/// names. Linking this library also installs the registry as the
 /// core library's BackendOptions::kernel_set resolver.
 const KernelSet& kernel_set(const std::string& name);
 

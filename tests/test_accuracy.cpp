@@ -87,8 +87,8 @@ struct ContractSetup {
 
   std::unique_ptr<GridderBackend> backend(const std::string& name) const {
     // The reference kernel set honours Parameters::accumulation, so it
-    // carries the contract on every tier; the preview tier's preferred LUT
-    // set is resolved where speed matters (bench_epsilon_sweep).
+    // carries the contract on every tier; the preview tier's preferred
+    // optimized set is resolved where speed matters (bench_epsilon_sweep).
     return make_backend(name, params);
   }
 
@@ -227,13 +227,12 @@ TEST(TierTableTest, PreferredKernelSetResolvesInRegistry) {
   for (const double eps : {1e-1, 1e-3, 1e-5}) {
     params.auto_configure(eps);
     // Every preferred set must resolve: the preview tier names the
-    // autotuned dispatch, the others the (accumulation-honouring)
-    // reference set.
+    // optimized set, the others the (accumulation-honouring) reference set.
     const std::string name = accuracy::preferred_kernel_set(params);
     EXPECT_NO_THROW(kernels::kernel_set(name)) << name;
   }
   params.auto_configure(1e-1);
-  EXPECT_EQ(std::string(accuracy::preferred_kernel_set(params)), "tuned");
+  EXPECT_EQ(std::string(accuracy::preferred_kernel_set(params)), "optimized");
 }
 
 TEST(AutoConfigureTest, ScienceTierDerivesTaperKernelAndPadding) {
@@ -366,18 +365,17 @@ TEST(AccuracyContractFlagged, AdjointnessHoldsUnderFlagPolicies) {
   }
 }
 
-// The autotuned dispatch is contract-safe on every tier: it selects among
-// the single-precision family only where the float phase-error floor
-// already bounds the error (preview), and delegates to the reference
-// kernels under double-precision accumulation (standard/science). Prove
-// the DFT l2 contract with kernel_set="tuned" explicitly on all three
-// tiers — whatever winner the process tuning database currently names.
-TEST(TunedKernelSetContract, DirtyImageMeetsEpsilonOnEveryTier) {
+// Each tier's preferred kernel set carries the contract: the preview tier
+// runs the single-precision optimized kernels, where the float
+// phase-error floor already bounds the error, and the standard/science
+// tiers the double-accumulating reference kernels. Prove the DFT l2
+// contract with kernel_set = preferred_kernel_set(params) on all three.
+TEST(PreferredKernelSetContract, DirtyImageMeetsEpsilonOnEveryTier) {
   for (const double epsilon : {1e-1, 1e-3, 1e-5}) {
     const auto s = ContractSetup::make(epsilon);
     BackendOptions options;
     options.executor = "synchronous";
-    options.kernel_set = "tuned";
+    options.kernel_set = accuracy::preferred_kernel_set(s.params);
     auto backend = make_backend(options, s.params);
     Array3D<cfloat> grid(kNrPolarizations, s.params.grid_size,
                          s.params.grid_size);
@@ -386,7 +384,7 @@ TEST(TunedKernelSetContract, DirtyImageMeetsEpsilonOnEveryTier) {
     const auto dirty =
         make_dirty_image(grid, s.plan.nr_planned_visibilities(), s.params);
     EXPECT_LE(dft_l2_error(s, dirty), epsilon)
-        << "tuned kernel set, tier epsilon " << epsilon;
+        << options.kernel_set << " kernel set, tier epsilon " << epsilon;
   }
 }
 

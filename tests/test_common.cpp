@@ -349,15 +349,38 @@ TEST(CliTest, DuplicateFlagIsRejected) {
 }
 
 TEST(CliTest, UnknownOptionsRejectedWhenCatalogueGiven) {
-  // All problems must surface in ONE error, not one per run.
-  const char* argv[] = {"prog", "--grid=64", "--subgird=24", "--chanels", "8"};
+  // All problems must surface in ONE error, not one per run. An unknown
+  // name never swallows the next token as its value.
+  const char* argv[] = {"prog",       "--grid=64", "--tune",
+                        "--subgird=24", "--chanels", "8"};
   try {
-    Options opts(5, argv, {"paper"}, {"grid", "subgrid", "channels"});
+    Options opts(6, argv, {"paper"}, {"grid", "subgrid", "channels"});
     FAIL() << "expected idg::Error";
   } catch (const Error& e) {
     const std::string what = e.what();
+    EXPECT_NE(what.find("unknown option --tune"), std::string::npos) << what;
     EXPECT_NE(what.find("unknown option --subgird"), std::string::npos) << what;
     EXPECT_NE(what.find("unknown option --chanels"), std::string::npos) << what;
+    EXPECT_EQ(what.find("--grid"), std::string::npos) << what;
+  }
+}
+
+TEST(CliTest, StandardCatalogueRejectsRemovedTuningKnobs) {
+  const char* argv[] = {"prog",         "--grid",      "64",
+                        "--tune",       "--tune-db",   "db.json",
+                        "--candidates", "optimized",   "--warmup",
+                        "1",            "--repeats",   "3"};
+  try {
+    idg::parse_standard_options(12, argv);
+    FAIL() << "expected idg::Error";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    for (const char* name :
+         {"--tune\n", "--tune-db", "--candidates", "--warmup", "--repeats"}) {
+      EXPECT_NE(what.find(std::string("unknown option ") + name),
+                std::string::npos)
+          << name << " in: " << what;
+    }
     EXPECT_EQ(what.find("--grid"), std::string::npos) << what;
   }
 }
