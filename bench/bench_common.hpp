@@ -8,7 +8,7 @@
 //
 // Benches that measure pipeline stages additionally accept
 //   --backend <name>   execution backend (idg::make_backend names)
-//   --json <path>      per-stage metrics in the idg-obs/v6 JSON schema
+//   --json <path>      per-stage metrics in the idg-obs/v9 JSON schema
 //   --trace <path>     Chrome-trace/Perfetto event timeline (also enabled
 //                      by the IDG_TRACE environment variable; load the file
 //                      at ui.perfetto.dev or chrome://tracing)
@@ -22,9 +22,9 @@
 //   --flag-fraction F  mark ~F of the samples RFI-flagged (deterministic)
 //   --bad-policy P     reject | zero_and_continue | skip_work_group
 //                      (Parameters::bad_sample_policy, DESIGN.md §11)
-//   --retries N        wrap the backend in the resilient supervisor: up to
-//                      N failed attempts per work group before quarantine
-//                      (DESIGN.md §12)
+//   --retries N        run under the resilient supervisor (also with
+//                      --backend synchronous): up to N failed attempts per
+//                      work group before quarantine (DESIGN.md §12)
 //   --deadline-ms D    abort the run with a CancelledError after D ms
 //                      (Parameters::deadline_ms; 0 = no deadline)
 //   --checkpoint P     major-cycle binaries: snapshot loop state to P after
@@ -180,7 +180,7 @@ inline void maybe_write_csv(const Table& table, const Options& opts) {
   }
 }
 
-/// Writes the per-stage metrics snapshot as idg-obs/v6 JSON when --json
+/// Writes the per-stage metrics snapshot as idg-obs/v9 JSON when --json
 /// <path> was given.
 inline void maybe_write_json(const obs::MetricsSnapshot& snapshot,
                              const Options& opts) {
@@ -211,8 +211,8 @@ inline std::string trace_path_from_options(const Options& opts) {
 
 /// RAII activation of timeline tracing for a bench run: installs the
 /// global TraceSink when a trace path was configured (no-op otherwise) and
-/// writes the Chrome-trace JSON on destruction. Construct BEFORE creating
-/// backends so queues/pools latch the sink at instrument() time.
+/// writes the Chrome-trace JSON on destruction. Construct BEFORE the run so
+/// every span lands in the trace.
 class TraceGuard {
  public:
   explicit TraceGuard(const Options& opts)
@@ -233,8 +233,8 @@ class TraceGuard {
 /// the global session so every obs::Span attributes counter deltas to its
 /// stage. When the host refuses (perf_event_paranoid, seccomp, non-Linux
 /// build) the guard prints why and the run continues with analytic counts
-/// only — counters never fail a bench. Construct BEFORE creating backends
-/// so pipeline stage threads warm their counter groups at startup.
+/// only — counters never fail a bench. Construct BEFORE the run so every
+/// span is measured.
 class PerfGuard {
  public:
   explicit PerfGuard(const Options& opts) {
@@ -265,20 +265,16 @@ class PerfGuard {
 
 /// Translates --backend/--retries into a BackendOptions struct: the
 /// backend spec is parsed by idg::parse_backend_spec and --retries N sets
-/// a SupervisorConfig with N attempts per work group (for a non-resilient
-/// executor this wraps it in the supervisor, DESIGN.md §12; spell
-/// --backend resilient[:inner] instead to get the default policy).
+/// a SupervisorConfig with N attempts per work group, which makes the
+/// backend resilient (DESIGN.md §12); --backend resilient alone runs the
+/// default policy.
 inline BackendOptions backend_options_from(const Options& opts,
                                            const KernelSet& kernels) {
-  const std::string name = opts.get("backend", std::string("synchronous"));
-  BackendOptions options = parse_backend_spec(name);
+  BackendOptions options =
+      parse_backend_spec(opts.get("backend", std::string("synchronous")));
   options.kernels = &kernels;
   const long retries = opts.get("retries", 0L);
   if (retries > 0) {
-    IDG_CHECK(options.executor != "resilient",
-              "--retries cannot rewrap --backend " << name
-                                                   << "; it is already "
-                                                      "supervised");
     SupervisorConfig config;
     config.max_attempts_per_group = static_cast<std::uint32_t>(retries);
     options.supervisor = config;
@@ -287,8 +283,8 @@ inline BackendOptions backend_options_from(const Options& opts,
 }
 
 /// Creates the execution backend selected by --backend (default:
-/// synchronous), with --retries N wrapping non-resilient selections in the
-/// resilient supervisor. The KernelSet must outlive the returned backend.
+/// synchronous), made resilient by --retries N. The KernelSet must outlive
+/// the returned backend.
 inline std::unique_ptr<GridderBackend> backend_from_options(
     const Options& opts, const Parameters& params, const KernelSet& kernels) {
   return make_backend(backend_options_from(opts, kernels), params);

@@ -2,8 +2,8 @@
 // per architecture (host measured; 2017 machines modeled).
 //
 // The measured numbers come from two obs::AggregateSinks (one per
-// direction) fed by the selected backend (--backend synchronous|pipelined);
-// --json <path> exports the combined per-stage metrics (idg-obs/v6).
+// direction) fed by the selected backend (--backend synchronous|resilient);
+// --json <path> exports the combined per-stage metrics (idg-obs/v9).
 //
 // Expected shape: both GPUs almost an order of magnitude above the CPU.
 #include <iostream>

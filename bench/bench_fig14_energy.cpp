@@ -4,7 +4,7 @@
 //
 // Host stage times come from the observability layer (obs::AggregateSink
 // fed by the selected --backend); --json <path> exports the per-stage
-// metrics in the stable idg-obs/v6 schema.
+// metrics in the stable idg-obs/v9 schema.
 //
 // Expected shape: most energy in the gridder and degridder; GPUs an order
 // of magnitude below the CPU in total, even including host power.

@@ -14,7 +14,7 @@
 //                [--stations 8] [--time 24] [--channels 4] [--grid 128]
 //                [--cycles 1] [--json metrics.json]
 //
-// --json writes the server's final idg-obs/v8 snapshot (the `server` and
+// --json writes the server's final idg-obs/v9 snapshot (the `server` and
 // `server.tenant.*` blocks carry the admission/execution counters).
 #include <unistd.h>
 

@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
     if (spec.retries > 0) {
       SupervisorConfig sup;
       sup.max_attempts_per_group = spec.retries;
-      backend = make_resilient_backend(std::move(backend), nullptr, sup);
+      backend = make_resilient_backend(std::move(backend), sup);
     }
   }
   clean::MajorCycleConfig mc = server::make_major_cycle_config(spec);

@@ -72,9 +72,9 @@ int main(int argc, char** argv) {
             << " visibilities/subgrid\n";
 
   // 4. Grid and image (identity A-terms: no direction-dependent effects).
-  // --backend selects the execution strategy: "synchronous" (default),
-  // "pipelined" (the paper's triple-buffered Fig 7 pipeline) or
-  // "resilient[:inner]". The kernel set honouring the contract is named by
+  // --backend selects the execution strategy: "synchronous" (default) or
+  // "resilient" (the same executor plus retry, quarantine and deadline).
+  // The kernel set honouring the contract is named by
   // accuracy::preferred_kernel_set (the optimized vmath sincos path for
   // the preview tier, the reference set — which implements double
   // accumulation — for the tighter tiers).

@@ -85,7 +85,7 @@ MajorCycleCheckpoint load_checkpoint(const std::string& path);
 
 /// PSF from the plan's uv coverage: grid unit visibilities and image them.
 /// Peaks at ~1 at pixel (grid_size/2, grid_size/2). Works with any
-/// execution backend (synchronous, pipelined, resilient).
+/// execution backend (synchronous, resilient, sharded).
 Array3D<cfloat> make_psf(const GridderBackend& backend, const Plan& plan,
                          ArrayView<const UVW, 2> uvw,
                          ArrayView<const Jones, 4> aterms,

@@ -4,7 +4,7 @@
 // deadline. Production code *polls* it at catalogued check sites — there is
 // no preemption: a stage finishes the work item it is on, then the next
 // check throws `CancelledError` and the normal error-propagation machinery
-// (PipelineError, with_stage_context) unwinds the run within bounded time.
+// (with_stage_context) unwinds the run within bounded time.
 // CancelledError is deliberately a distinct type: the resilient supervisor
 // (idg/supervisor.hpp) retries stage failures but treats cancellation as
 // final, so a deadline abort is never "retried" into a longer run.
@@ -32,7 +32,7 @@ namespace idg {
 
 /// Cooperative cancellation flag with an optional deadline.
 ///
-/// Thread-safe: any thread may request_cancel(); every stage thread may
+/// Thread-safe: any thread may request_cancel(); any number of threads may
 /// poll cancelled()/check() concurrently. Not copyable or movable — share
 /// it by pointer/reference (RunControl::cancel).
 class CancelToken {

@@ -22,8 +22,8 @@ class Error : public std::runtime_error {
 /// Thrown once a CancelToken (common/cancel.hpp) is cancelled — explicitly
 /// or by its deadline. A distinct type on purpose: the resilient
 /// supervisor (idg/supervisor.hpp) retries StageFailure but rethrows
-/// cancellation immediately, and both with_stage_context and
-/// PipelineError preserve the type when a cancellation unwinds a stage.
+/// cancellation immediately, and with_stage_context preserves the type
+/// when a cancellation unwinds a stage.
 class CancelledError : public Error {
  public:
   explicit CancelledError(const std::string& what) : Error(what) {}

@@ -3,7 +3,7 @@
 //
 // Production code marks *sites* — named points in a pipeline stage — with
 // the IDG_FAULT_* macros below. A site is identified by a string (e.g.
-// "pipelined.grid.kernel") plus the work-group index it is executing, so a
+// "processor.grid.kernel") plus the work-group index it is executing, so a
 // test can arm "throw in stage X of group k" exactly. Three actions exist:
 //
 //   * kThrow   — throw idg::Error at the site (stage failure),
@@ -63,8 +63,9 @@ struct Arm {
   std::uint32_t fires = 0;  ///< internal fire count (guarded by the mutex)
 };
 
-/// Process-wide injection registry. All methods are thread-safe; the
-/// pipeline stage threads call the hook entry points concurrently.
+/// Process-wide injection registry. All methods are thread-safe; concurrent
+/// runs (e.g. the server's job threads) call the hook entry points
+/// concurrently.
 class Injector {
  public:
   static Injector& instance();
@@ -80,7 +81,7 @@ class Injector {
   ///
   /// `throw:<count>` is a transient fault: it fires at most <count> times,
   /// then the site passes (the supervisor's retry path recovers from it).
-  /// e.g. IDG_FAULT="pipelined.grid.kernel@2=throw;pipelined.grid.fft=delay:10"
+  /// e.g. IDG_FAULT="processor.grid.kernel@2=throw;processor.grid.fft=delay:10"
   /// Throws idg::Error on malformed specs.
   void arm_from_spec(const std::string& spec);
 
@@ -112,7 +113,7 @@ class Injector {
  private:
   Injector();
   struct State;
-  State* state_;  // never freed: stage threads may outlive static dtors
+  State* state_;  // never freed: job threads may outlive static dtors
 };
 
 /// Writes quiet NaNs into `data` (first, middle and last element) — the

@@ -63,8 +63,10 @@ TileClip clip(const Parameters& params, const TileBinning& binning,
   c.x_hi = std::min({x0 + n, (tx + 1) * t, g});
   return c;
 }
-}  // namespace
 
+/// Accumulates one tile's slice of every overlapping item (serial; the
+/// parallel drivers below call this per tile). Tiles are disjoint, so
+/// concurrent calls on distinct tiles of the same grid never race.
 void add_tile(const Parameters& params, std::span<const WorkItem> items,
               const TileBinning& binning, std::size_t tile,
               ArrayView<const cfloat, 4> subgrids, ArrayView<cfloat, 3> grid) {
@@ -89,6 +91,7 @@ void add_tile(const Parameters& params, std::span<const WorkItem> items,
   }
 }
 
+/// Copies one tile's slice of the grid into every overlapping item.
 void split_tile(const Parameters& params, std::span<const WorkItem> items,
                 const TileBinning& binning, std::size_t tile,
                 ArrayView<const cfloat, 3> grid,
@@ -113,6 +116,7 @@ void split_tile(const Parameters& params, std::span<const WorkItem> items,
     }
   }
 }
+}  // namespace
 
 void add_subgrids_to_grid(const Parameters& params,
                           std::span<const WorkItem> items,

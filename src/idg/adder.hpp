@@ -62,18 +62,4 @@ void split_subgrids_from_grid(const Parameters& params,
                               ArrayView<const cfloat, 3> grid,
                               ArrayView<cfloat, 4> subgrids);
 
-/// Accumulates one tile's slice of every overlapping item (serial; the
-/// parallel drivers above and the pipeline's worker pool call this per
-/// tile). Tiles are disjoint, so concurrent calls on distinct tiles of the
-/// same grid never race.
-void add_tile(const Parameters& params, std::span<const WorkItem> items,
-              const TileBinning& binning, std::size_t tile,
-              ArrayView<const cfloat, 4> subgrids, ArrayView<cfloat, 3> grid);
-
-/// Copies one tile's slice of the grid into every overlapping item.
-void split_tile(const Parameters& params, std::span<const WorkItem> items,
-                const TileBinning& binning, std::size_t tile,
-                ArrayView<const cfloat, 3> grid,
-                ArrayView<cfloat, 4> subgrids);
-
 }  // namespace idg

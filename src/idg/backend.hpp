@@ -1,12 +1,15 @@
 // Unified execution-backend interface.
 //
 // The paper evaluates one algorithm (IDG) under several execution
-// strategies: the synchronous three-stage pipeline of Fig 4 and the
-// triple-buffered asynchronous pipeline of Fig 7. `GridderBackend`
-// abstracts "grid/degrid all planned visibilities" over those strategies so
-// benches, examples and the future service layer select an implementation
-// by name (`make_backend`) instead of hard-coding a concrete type, and so
-// every backend reports into the same observability layer (obs::MetricsSink).
+// strategies. On the CPU the synchronous three-stage pipeline of Fig 4
+// (`Processor`) is the executor; the triple-buffered pipeline of Fig 7
+// only pays off where PCIe transfers can hide behind kernels, and is
+// reproduced by the GPU model (arch::simulate_triple_buffering, DESIGN.md
+// "Executors, measured"). `GridderBackend` abstracts "grid/degrid all
+// planned visibilities" so benches, examples and the service layer select
+// an implementation by name (`make_backend`) instead of hard-coding a
+// concrete type, and so every backend reports into the same observability
+// layer (obs::MetricsSink).
 #pragma once
 
 #include <cstdint>
@@ -53,8 +56,8 @@ struct RunControl {
 /// grid/degrid call: when the caller's RunControl carries no token and the
 /// parameters set a deadline, owns a fresh deadline token; either way the
 /// effective token is registered in the process-wide cancel registry
-/// (CancelScope) so injected delay sleeps stay interruptible. Used by both
-/// executors at the top of every run.
+/// (CancelScope) so injected delay sleeps stay interruptible. Used by every
+/// backend at the top of every run.
 class ScopedRunControl {
  public:
   ScopedRunControl(const RunControl& ctl, std::uint32_t deadline_ms)
@@ -162,14 +165,9 @@ class GridderBackend {
 struct SupervisorConfig {
   /// Failed attempts a single work group is allowed before quarantine.
   std::uint32_t max_attempts_per_group = 3;
-  /// Failures on the active backend before failing over to the fallback
-  /// (when one is configured). Counts every failed attempt, attributable
-  /// or not: a backend that keeps failing is suspect even when the
-  /// failures name a group.
-  std::uint32_t failover_after = 2;
   /// Hard bound on attempts per grid/degrid call; 0 derives a bound that
   /// still lets every group exhaust its attempts
-  /// (nr_groups * max_attempts_per_group + failover_after + 1).
+  /// (nr_groups * max_attempts_per_group + 1).
   std::uint32_t max_run_attempts = 0;
   /// Backoff between attempts: min(cap, base << attempt) milliseconds plus
   /// a deterministic jitter drawn from `seed` — bounded, reproducible, and
@@ -183,19 +181,12 @@ struct SupervisorConfig {
   std::uint32_t deadline_ms = 0;
 };
 
-/// Structured backend selection: what the string spelling
-/// ("resilient:<inner>" etc.) used to encode, in one options struct (the
-/// string form remains as parse_backend_spec, a thin parser over this).
+/// Structured backend selection (the string spelling remains as
+/// parse_backend_spec, a thin parser over this).
 struct BackendOptions {
-  /// Executor: "synchronous" (Processor), "pipelined" (PipelinedProcessor)
-  /// or "resilient" (ResilientBackend). Aliases "sync"/"processor" and
-  /// "async" are accepted.
+  /// Executor: "synchronous" (Processor) or "resilient" (Processor inside
+  /// a ResilientBackend). Aliases "sync"/"processor" are accepted.
   std::string executor = "synchronous";
-
-  /// Inner executor wrapped by a resilient backend; empty = "pipelined"
-  /// (the default pairing: pipelined primary, synchronous failover).
-  /// Ignored for non-resilient executors.
-  std::string inner;
 
   /// Supervisor knobs for the resilient executor; nullopt = defaults.
   /// Setting this on a non-resilient executor wraps it in a
@@ -238,20 +229,18 @@ void set_kernel_set_resolver(KernelSetResolver resolver);
 const KernelSet& resolve_kernel_set(const std::string& name);
 
 /// Parses the string spelling of a backend selection into options:
-/// "synchronous" | "sync" | "processor" | "pipelined" | "async" |
-/// "resilient" | "resilient:<inner>". Throws idg::Error for unknown names,
-/// listing the valid ones.
+/// "synchronous" | "sync" | "processor" | "resilient". Throws idg::Error
+/// for unknown names, listing the valid ones.
 BackendOptions parse_backend_spec(const std::string& spec);
 
 /// Names accepted by parse_backend_spec()/make_backend(), in preference
-/// order: "synchronous" (Processor), "pipelined" (PipelinedProcessor) and
-/// "resilient" (ResilientBackend wrapping "pipelined"; spell
-/// "resilient:<inner>" to wrap a specific inner backend).
+/// order: "synchronous" (Processor) and "resilient" (Processor with
+/// retry, quarantine and deadline).
 std::vector<std::string> backend_names();
 
-/// Creates the backend the options describe. A resilient selection wraps
-/// the inner executor with the synchronous executor as failover (unless
-/// the inner IS synchronous, which then runs with retry/quarantine only).
+/// Creates the backend the options describe: a Processor, wrapped in a
+/// ResilientBackend for the resilient executor or when supervisor knobs
+/// are set.
 std::unique_ptr<GridderBackend> make_backend(const BackendOptions& options,
                                              const Parameters& params);
 

@@ -157,8 +157,8 @@ struct Parameters {
 
   /// Per-run deadline in milliseconds; 0 = none. When set, the executors
   /// construct a deadline CancelToken for the run and poll it cooperatively
-  /// at catalogued check sites (per work group, per pipeline ticket, in
-  /// queue wait loops), so an over-deadline run aborts with a descriptive
+  /// at catalogued check sites (per work group and inside the scrub and
+  /// supervisor loops), so an over-deadline run aborts with a descriptive
   /// CancelledError within bounded time instead of hanging (DESIGN.md §12).
   std::uint32_t deadline_ms = 0;
 

@@ -111,7 +111,7 @@ class Plan {
   std::span<const WorkItem> work_group(std::size_t g) const;
 
   /// Tile binning of work_group(g), precomputed once at plan time and
-  /// shared by the synchronous and pipelined adders/splitters.
+  /// shared by the adder and splitter.
   const TileBinning& work_group_tiles(std::size_t g) const;
 
   /// Visibilities covered by the plan (excludes dropped ones).

@@ -21,7 +21,7 @@
 //                        units are skipped and counted.
 //
 // Counts flow into obs::MetricsSink::record_data_quality under the "scrub"
-// stage and from there into the idg-obs/v8 JSON/CSV export. Note the
+// stage and from there into the idg-obs/v9 JSON/CSV export. Note the
 // analytic op counters (idg/accounting.hpp) stay plan-derived even when
 // groups are skipped — skipped_samples records the gap.
 #pragma once
@@ -109,7 +109,7 @@ DegridScrub scrub_degrid_plan(const Parameters& params, const Plan& plan,
 /// Zeroes the flagged entries of `visibilities` covered by `items`
 /// (kZeroAndContinue after degridding); returns how many it zeroed. Work
 /// items cover disjoint (baseline, time, channel) blocks, so calling this
-/// per work group from concurrent stage threads is race-free.
+/// per work group from concurrent threads is race-free.
 std::uint64_t zero_flagged_outputs(std::span<const WorkItem> items,
                                    FlagView flags,
                                    ArrayView<Visibility, 3> visibilities);

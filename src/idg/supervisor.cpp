@@ -29,26 +29,12 @@ std::uint64_t group_samples(const Plan& plan, std::size_t g) {
 
 }  // namespace
 
-ResilientBackend::ResilientBackend(std::unique_ptr<GridderBackend> primary,
-                                   std::unique_ptr<GridderBackend> fallback,
+ResilientBackend::ResilientBackend(std::unique_ptr<GridderBackend> inner,
                                    SupervisorConfig config)
-    : primary_(std::move(primary)),
-      fallback_(std::move(fallback)),
-      config_(config) {
-  IDG_CHECK(primary_ != nullptr, "ResilientBackend needs a primary backend");
+    : inner_(std::move(inner)), config_(config) {
+  IDG_CHECK(inner_ != nullptr, "ResilientBackend needs a backend to wrap");
   IDG_CHECK(config_.max_attempts_per_group >= 1,
             "max_attempts_per_group must be at least 1");
-  IDG_CHECK(config_.failover_after >= 1, "failover_after must be at least 1");
-}
-
-const GridderBackend& ResilientBackend::active() const {
-  std::lock_guard lock(mutex_);
-  return failed_over_ && fallback_ != nullptr ? *fallback_ : *primary_;
-}
-
-bool ResilientBackend::failed_over() const {
-  std::lock_guard lock(mutex_);
-  return failed_over_;
 }
 
 RecoveryReport ResilientBackend::report() const {
@@ -65,7 +51,7 @@ template <typename Attempt>
 void ResilientBackend::supervise(const Plan& plan, obs::MetricsSink& sink,
                                  const RunControl& ctl_in, const char* what,
                                  Attempt&& attempt) const {
-  const Parameters& params = primary_->parameters();
+  const Parameters& params = inner_->parameters();
   const std::uint32_t deadline_ms =
       config_.deadline_ms != 0 ? config_.deadline_ms : params.deadline_ms;
   // The supervisor owns the run's deadline token (unless the caller passed
@@ -81,23 +67,20 @@ void ResilientBackend::supervise(const Plan& plan, obs::MetricsSink& sink,
   }
   std::vector<std::uint32_t> failures(nr_groups, 0);
   std::vector<QuarantinedGroup> quarantined_now;
-  std::uint64_t failovers_now = 0;
 
   // Hard attempt bound: by default every group may exhaust its attempt
-  // budget and a failover may still happen — but nothing can loop forever.
+  // budget — but nothing can loop forever.
   const std::uint64_t max_attempts =
       config_.max_run_attempts != 0
           ? config_.max_run_attempts
           : static_cast<std::uint64_t>(nr_groups) *
-                    config_.max_attempts_per_group +
-                config_.failover_after + 1;
+                    config_.max_attempts_per_group + 1;
 
   const auto commit_report = [&](std::uint64_t retried) {
     std::lock_guard lock(mutex_);
     report_.retried_work_groups += retried;
     report_.quarantined.insert(report_.quarantined.end(),
                                quarantined_now.begin(), quarantined_now.end());
-    report_.backend_failovers += failovers_now;
   };
 
   const auto backoff = [&](std::uint64_t attempt_nr) {
@@ -144,17 +127,6 @@ void ResilientBackend::supervise(const Plan& plan, obs::MetricsSink& sink,
               QuarantinedGroup{g, failures[gi], failure.what()});
         }
       }
-      // Every failed attempt counts against the active backend; repeated
-      // failures switch to the fallback once (pipelined → synchronous).
-      {
-        std::lock_guard lock(mutex_);
-        if (!failed_over_ && fallback_ != nullptr &&
-            ++failures_on_active_ >= config_.failover_after) {
-          failed_over_ = true;
-          failures_on_active_ = 0;
-          ++failovers_now;
-        }
-      }
       backoff(attempt_nr);
     }
     // Anything else (contract violations, bad parameters, kReject scrub
@@ -190,8 +162,7 @@ void ResilientBackend::supervise(const Plan& plan, obs::MetricsSink& sink,
   for (const QuarantinedGroup& q : quarantined_now) {
     skipped_samples += group_samples(plan, static_cast<std::size_t>(q.group));
   }
-  sink.record_recovery(stage::kSupervisor, retried, quarantined_now.size(),
-                       failovers_now);
+  sink.record_recovery(stage::kSupervisor, retried, quarantined_now.size());
   if (skipped_samples != 0) {
     sink.record_data_quality(stage::kSupervisor, 0, skipped_samples);
   }
@@ -209,8 +180,8 @@ void ResilientBackend::grid(const Plan& plan, ArrayView<const UVW, 2> uvw,
   Array3D<cfloat> scratch(grid.dim(0), grid.dim(1), grid.dim(2));
   supervise(plan, sink, ctl, "grid", [&](const RunControl& run_ctl) {
     std::copy(grid.data(), grid.data() + grid.size(), scratch.data());
-    active().grid(plan, uvw, visibilities, flags, aterms, scratch.view(),
-                  sink, run_ctl);
+    inner_->grid(plan, uvw, visibilities, flags, aterms, scratch.view(), sink,
+                 run_ctl);
     std::copy(scratch.data(), scratch.data() + scratch.size(), grid.data());
   });
 }
@@ -226,18 +197,16 @@ void ResilientBackend::degrid(const Plan& plan, ArrayView<const UVW, 2> uvw,
   supervise(plan, sink, ctl, "degrid", [&](const RunControl& run_ctl) {
     std::copy(visibilities.data(), visibilities.data() + visibilities.size(),
               scratch.data());
-    active().degrid(plan, uvw, grid, flags, aterms, scratch.view(), sink,
-                    run_ctl);
+    inner_->degrid(plan, uvw, grid, flags, aterms, scratch.view(), sink,
+                   run_ctl);
     std::copy(scratch.data(), scratch.data() + scratch.size(),
               visibilities.data());
   });
 }
 
 std::unique_ptr<GridderBackend> make_resilient_backend(
-    std::unique_ptr<GridderBackend> primary,
-    std::unique_ptr<GridderBackend> fallback, SupervisorConfig config) {
-  return std::make_unique<ResilientBackend>(std::move(primary),
-                                            std::move(fallback), config);
+    std::unique_ptr<GridderBackend> inner, SupervisorConfig config) {
+  return std::make_unique<ResilientBackend>(std::move(inner), config);
 }
 
 }  // namespace idg

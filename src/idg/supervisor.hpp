@@ -1,8 +1,8 @@
 // Resilient execution supervisor (DESIGN.md §12).
 //
-// `ResilientBackend` wraps any GridderBackend and turns the fail-fast
-// error contract of §11 — first stage failure aborts the run — into
-// policy-driven recovery:
+// `ResilientBackend` wraps a GridderBackend (make_backend wraps the
+// synchronous Processor) and turns the fail-fast error contract of §11 —
+// first stage failure aborts the run — into policy-driven recovery:
 //
 //   * retry     — a StageFailure attributed to a work group re-runs the
 //                 whole call with that group still active, after a seeded,
@@ -16,9 +16,6 @@
 //                 identical to BadSamplePolicy::kSkipWorkGroup, reported
 //                 through MetricsSink::record_recovery and the
 //                 RecoveryReport.
-//   * failover  — repeated failures on the active backend (attributable or
-//                 not) switch the whole call to the fallback backend
-//                 (typically pipelined → synchronous), once.
 //   * deadline  — a CancelledError is never retried: cancellation is
 //                 final and rethrows immediately.
 //
@@ -60,35 +57,26 @@ struct RecoveryReport {
   /// Groups that failed at least once but eventually succeeded on retry.
   std::uint64_t retried_work_groups = 0;
   std::vector<QuarantinedGroup> quarantined;
-  std::uint64_t backend_failovers = 0;
 
   bool clean() const {
-    return retried_work_groups == 0 && quarantined.empty() &&
-           backend_failovers == 0;
+    return retried_work_groups == 0 && quarantined.empty();
   }
 };
 
 /// GridderBackend decorator applying the recovery policy above. Thread
-/// compatibility matches the wrapped backends (one call at a time — the
-/// retry bookkeeping is per call, guarded for the cross-call failover and
-/// report state).
+/// compatibility matches the wrapped backend (one call at a time — the
+/// retry bookkeeping is per call; only the accumulated report is shared
+/// across calls, under a mutex).
 class ResilientBackend final : public GridderBackend {
  public:
-  /// `fallback` may be null (no failover, only retry/quarantine). Both
-  /// backends must grid bit-identically (the repo's executors do; pinned
-  /// by tests) or a failover changes the result.
-  ResilientBackend(std::unique_ptr<GridderBackend> primary,
-                   std::unique_ptr<GridderBackend> fallback = nullptr,
-                   SupervisorConfig config = SupervisorConfig{});
+  explicit ResilientBackend(std::unique_ptr<GridderBackend> inner,
+                            SupervisorConfig config = SupervisorConfig{});
 
   std::string name() const override { return "resilient"; }
   const Parameters& parameters() const override {
-    return primary_->parameters();
+    return inner_->parameters();
   }
   const SupervisorConfig& config() const { return config_; }
-
-  /// True once failover switched the active backend to the fallback.
-  bool failed_over() const;
 
   /// Copy of the accumulated recovery report.
   RecoveryReport report() const;
@@ -112,25 +100,19 @@ class ResilientBackend final : public GridderBackend {
                  const RunControl& ctl, const char* what,
                  Attempt&& attempt) const;
 
-  const GridderBackend& active() const;
-
-  std::unique_ptr<GridderBackend> primary_;
-  std::unique_ptr<GridderBackend> fallback_;
+  std::unique_ptr<GridderBackend> inner_;
   SupervisorConfig config_;
 
-  // Cross-call state (failover latches; the report accumulates). The
-  // GridderBackend interface is const, hence mutable + mutex.
+  // The report accumulates across calls. The GridderBackend interface is
+  // const, hence mutable + mutex.
   mutable std::mutex mutex_;
-  mutable bool failed_over_ = false;
-  mutable std::uint32_t failures_on_active_ = 0;
   mutable RecoveryReport report_;
 };
 
-/// Convenience factory mirroring make_backend(): wraps `primary` (and the
-/// optional `fallback`) in a ResilientBackend.
+/// Convenience factory mirroring make_backend(): wraps `inner` in a
+/// ResilientBackend.
 std::unique_ptr<GridderBackend> make_resilient_backend(
-    std::unique_ptr<GridderBackend> primary,
-    std::unique_ptr<GridderBackend> fallback = nullptr,
+    std::unique_ptr<GridderBackend> inner,
     SupervisorConfig config = SupervisorConfig{});
 
 }  // namespace idg

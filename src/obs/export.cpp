@@ -69,7 +69,7 @@ void write_latency_json(std::ostream& os, const LatencyHistogram& latency,
 
 void write_json(std::ostream& os, const MetricsSnapshot& snapshot) {
   os << "{\n";
-  os << "  \"schema\": \"idg-obs/v8\",\n";
+  os << "  \"schema\": \"idg-obs/v9\",\n";
   os << "  \"total_seconds\": " << format_double(total_seconds(snapshot))
      << ",\n";
   os << "  \"stages\": [";
@@ -87,7 +87,6 @@ void write_json(std::ostream& os, const MetricsSnapshot& snapshot) {
     os << "      \"retried_work_groups\": " << m.retried_work_groups << ",\n";
     os << "      \"quarantined_work_groups\": " << m.quarantined_work_groups
        << ",\n";
-    os << "      \"backend_failovers\": " << m.backend_failovers << ",\n";
     write_latency_json(os, m.latency, "      ");
     if (m.hw.any()) {
       // Omitted (not zeroed) when no counters were recorded: flag-free
@@ -176,15 +175,14 @@ void write_json(std::ostream& os, const MetricsSnapshot& snapshot) {
 void write_csv(std::ostream& os, const MetricsSnapshot& snapshot) {
   os << "stage,seconds,invocations,moved_bytes,scrubbed_samples,"
         "skipped_samples,retried_work_groups,quarantined_work_groups,"
-        "backend_failovers,latency_samples,p50,p95,p99,"
+        "latency_samples,p50,p95,p99,"
         "fma,mul,add,sincos,dev_bytes,shared_bytes,visibilities,total_ops,"
         "flops\n";
   for (const auto& [stage, m] : snapshot) {
     os << stage << ',' << format_double(m.seconds) << ',' << m.invocations
        << ',' << m.moved_bytes << ',' << m.scrubbed_samples << ','
        << m.skipped_samples << ',' << m.retried_work_groups << ','
-       << m.quarantined_work_groups << ',' << m.backend_failovers << ','
-       << m.latency.samples() << ','
+       << m.quarantined_work_groups << ',' << m.latency.samples() << ','
        << format_double(m.latency.percentile(0.50)) << ','
        << format_double(m.latency.percentile(0.95)) << ','
        << format_double(m.latency.percentile(0.99)) << ',' << m.ops.fma << ','

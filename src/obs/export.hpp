@@ -1,11 +1,11 @@
 // Metric exporters: stable JSON and CSV serializations of a
 // MetricsSnapshot.
 //
-// JSON schema "idg-obs/v8" (pinned by tests/golden/metrics.json; the
+// JSON schema "idg-obs/v9" (pinned by tests/golden/metrics.json; the
 // figure benches emit it via --json and downstream plotting consumes it):
 //
 //   {
-//     "schema": "idg-obs/v8",
+//     "schema": "idg-obs/v9",
 //     "total_seconds": <number>,
 //     "stages": [                       // sorted by stage name
 //       {
@@ -51,7 +51,9 @@
 // block of measured perf_event counters (DESIGN.md §15) — present only
 // when a PerfCounterSession recorded at least one window, so the export
 // stays byte-stable on hosts without counter access. The CSV schema is
-// unchanged (hw is JSON-only).
+// unchanged (hw is JSON-only). v9 removed a recovery counter (JSON field
+// and CSV column) that counted switches to a second executor; that
+// executor no longer exists.
 //
 // CSV schema (pinned by tests/golden/metrics.csv): one row per stage,
 // sorted by name, with the same fields flattened:

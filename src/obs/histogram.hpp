@@ -1,9 +1,8 @@
 // Log-bucketed latency histograms (DESIGN.md §10).
 //
 // Per-stage wall-time *totals* (StageMetrics::seconds) cannot distinguish a
-// stage that is uniformly slow from one with a long tail — but the tail is
-// what limits the pipelined executor's overlap (the slowest span of a
-// work group gates the whole rotation of the buffer pool). LatencyHistogram
+// stage that is uniformly slow from one with a long tail — and the tail is
+// what a deadline or a server's job latency feels first. LatencyHistogram
 // records every completed span into fixed base-2 buckets so the exporters
 // can surface p50/p95/p99 per stage deterministically:
 //

@@ -198,13 +198,11 @@ struct StageMetrics {
   std::uint64_t skipped_samples = 0;
   /// Recovery counters (DESIGN.md §12), recorded by the resilient
   /// supervisor under its own stage: work groups that failed at least once
-  /// but eventually succeeded on retry, work groups quarantined after
+  /// but eventually succeeded on retry, and work groups quarantined after
   /// exhausting their attempts (their samples are absent from the result,
-  /// like skipped_samples), and whole-backend failovers (pipelined →
-  /// synchronous) taken after repeated non-attributable failures.
+  /// like skipped_samples).
   std::uint64_t retried_work_groups = 0;
   std::uint64_t quarantined_work_groups = 0;
-  std::uint64_t backend_failovers = 0;
   /// Measured hardware counter totals (DESIGN.md §15), accumulated by
   /// record_hw() while a PerfCounterSession is live. hw.samples == 0 means
   /// the stage was never measured and the exporters omit the block.
@@ -228,7 +226,6 @@ struct StageMetrics {
     skipped_samples += other.skipped_samples;
     retried_work_groups += other.retried_work_groups;
     quarantined_work_groups += other.quarantined_work_groups;
-    backend_failovers += other.backend_failovers;
     hw += other.hw;
     shard += other.shard;
     server += other.server;

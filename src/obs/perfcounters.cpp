@@ -291,8 +291,6 @@ bool PerfCounterSession::sample_now(RawSample& out) {
   return counters->read_sample(out);
 }
 
-void PerfCounterSession::prepare_thread() { (void)thread_counters(); }
-
 std::string PerfCounterSession::counter_list() const {
   std::array<bool, kNrHwCounters> present{};
   {
@@ -351,8 +349,6 @@ bool PerfCounterSession::sample_now(RawSample& out) {
   return false;
 }
 
-void PerfCounterSession::prepare_thread() {}
-
 std::string PerfCounterSession::counter_list() const { return ""; }
 
 PerfProbe probe_perf_counters() {
@@ -376,12 +372,6 @@ PerfCounterSession* global_perf_session() {
 
 void set_global_perf_session(PerfCounterSession* session) {
   g_perf_session.store(session, std::memory_order_release);
-}
-
-void warm_thread_counters() {
-  if (PerfCounterSession* session = global_perf_session()) {
-    session->prepare_thread();
-  }
 }
 
 void PerfMetricsSink::record_hw(std::string_view stage,

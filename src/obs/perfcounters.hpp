@@ -111,11 +111,6 @@ class PerfCounterSession {
   /// not be opened on this thread.
   bool sample_now(RawSample& out);
 
-  /// Opens the calling thread's group without reading it, so the first
-  /// span on a fresh stage thread is not charged the fd-open cost (and its
-  /// counter window does not include it). No-op when already open.
-  void prepare_thread();
-
   /// The multiplex-scaled delta between two samples of the SAME thread's
   /// group: each counter's raw delta is extrapolated by the window's
   /// enabled/running ratio (pure math — tests feed synthetic samples).
@@ -148,11 +143,6 @@ PerfCounterSession* global_perf_session();
 /// Installs (or, with nullptr, removes) the process-global session. The
 /// session must outlive its installation.
 void set_global_perf_session(PerfCounterSession* session);
-
-/// Opens the calling thread's counter group of the global session, if one
-/// is installed (no-op otherwise). The pipelined stage threads call this
-/// on startup so their first work-group window is clean.
-void warm_thread_counters();
 
 /// RAII counter window over the global session. Constructed by obs::Span
 /// (so every span site measures automatically while a session is
@@ -213,9 +203,8 @@ class PerfMetricsSink final : public MetricsSink {
     inner_->record_data_quality(stage, scrubbed, skipped);
   }
   void record_recovery(std::string_view stage, std::uint64_t retried,
-                       std::uint64_t quarantined,
-                       std::uint64_t failovers) override {
-    inner_->record_recovery(stage, retried, quarantined, failovers);
+                       std::uint64_t quarantined) override {
+    inner_->record_recovery(stage, retried, quarantined);
   }
   void record_hw(std::string_view stage, const HwCounters& hw) override;
 

@@ -42,13 +42,11 @@ void AggregateSink::record_hw(std::string_view stage, const HwCounters& hw) {
 
 void AggregateSink::record_recovery(std::string_view stage,
                                     std::uint64_t retried,
-                                    std::uint64_t quarantined,
-                                    std::uint64_t failovers) {
+                                    std::uint64_t quarantined) {
   std::lock_guard lock(mutex_);
   StageMetrics& m = metrics_[std::string(stage)];
   m.retried_work_groups += retried;
   m.quarantined_work_groups += quarantined;
-  m.backend_failovers += failovers;
 }
 
 void AggregateSink::record_shard(std::string_view stage,

@@ -2,10 +2,9 @@
 //
 // A `MetricsSink` receives the measurements of completed `obs::Span`s and
 // the analytic op/byte counters the pipelines attribute to each stage. All
-// bundled sinks are thread-safe: the three stage threads of
-// `PipelinedProcessor` record into one shared sink concurrently and the
-// result is a single coherent view (the paper's Fig 7 pipeline reports the
-// same per-stage totals as the synchronous Fig 4 pipeline).
+// bundled sinks are thread-safe: concurrent recorders (server jobs, the
+// shard coordinator, test threads) share one sink and the result is a
+// single coherent view.
 #pragma once
 
 #include <mutex>
@@ -67,16 +66,13 @@ class MetricsSink {
 
   /// Attributes recovery counters to `stage` (the resilient supervisor's
   /// channel, DESIGN.md §12): `retried` work groups that succeeded after at
-  /// least one failed attempt, `quarantined` work groups dropped after
-  /// exhausting their attempts, and `failovers` whole-backend switches.
-  /// Default no-op, like record_bytes().
+  /// least one failed attempt and `quarantined` work groups dropped after
+  /// exhausting their attempts. Default no-op, like record_bytes().
   virtual void record_recovery(std::string_view stage, std::uint64_t retried,
-                               std::uint64_t quarantined,
-                               std::uint64_t failovers) {
+                               std::uint64_t quarantined) {
     (void)stage;
     (void)retried;
     (void)quarantined;
-    (void)failovers;
   }
 
   /// Attributes shard coordination counters to `stage` (the multi-process
@@ -123,8 +119,7 @@ class AggregateSink : public MetricsSink {
                            std::uint64_t skipped) override;
   void record_hw(std::string_view stage, const HwCounters& hw) override;
   void record_recovery(std::string_view stage, std::uint64_t retried,
-                       std::uint64_t quarantined,
-                       std::uint64_t failovers) override;
+                       std::uint64_t quarantined) override;
   void record_shard(std::string_view stage,
                     const ShardCounters& shard) override;
   void record_server(std::string_view stage,

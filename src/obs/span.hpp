@@ -8,9 +8,9 @@
 //
 // When a global TraceSink is installed (obs/trace.hpp), every span also
 // emits a timeline event on the calling thread's track, tagged with the
-// work-group id passed at construction — this is how the Fig 7 stage
-// overlap shows up in the exported Chrome trace. Without a global trace
-// the extra cost is one relaxed atomic load per span.
+// work-group id passed at construction — this is how each work group's
+// stage sequence shows up in the exported Chrome trace. Without a global
+// trace the extra cost is one relaxed atomic load per span.
 //
 // When a global PerfCounterSession is installed (obs/perfcounters.hpp,
 // DESIGN.md §15), every span additionally reads the calling thread's

@@ -1,12 +1,11 @@
 // Event timeline tracing (DESIGN.md §10).
 //
 // The aggregate sinks answer "how much time did each stage take in total";
-// they cannot show *when* each span ran — which is the whole point of the
-// paper's Fig 7 pipeline (gridder, FFT and adder overlapping on different
-// threads). TraceSink records the begin/end of every span (stage, thread,
-// work-group id) plus counter samples (bounded-queue depths, worker-pool
-// occupancy) and exports them as Chrome-trace / Perfetto JSON, so the
-// overlap becomes directly visible on a timeline.
+// they cannot show *when* each span ran, on which thread, for which work
+// group. TraceSink records the begin/end of every span (stage, thread,
+// work-group id) plus counter samples (measured IPC and LLC miss rate when
+// hardware counters are live) and exports them as Chrome-trace / Perfetto
+// JSON, so a run's stage sequence becomes directly visible on a timeline.
 //
 // Recording is lock-cheap: each thread appends to its own fixed-capacity
 // ring buffer behind a private, essentially uncontended mutex (the owner
@@ -15,9 +14,8 @@
 // tracing never blocks or reallocates on the hot path.
 //
 // One process-global TraceSink can be installed (set_global_trace); when it
-// is, obs::Span and the instrumented pipeline primitives (BoundedQueue,
-// WorkerPool) emit events automatically. TraceSession is the RAII wrapper
-// the benches use for `--trace <path>` / `IDG_TRACE`.
+// is, every obs::Span emits events automatically. TraceSession is the RAII
+// wrapper the benches use for `--trace <path>` / `IDG_TRACE`.
 #pragma once
 
 #include <cstdint>

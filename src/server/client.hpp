@@ -73,7 +73,7 @@ class Client {
   /// SubmitOutcome). Throws WireError when the server dies mid-stream.
   SubmitOutcome submit(const JobSpec& spec, const SubmitOptions& options = {});
 
-  /// Fetches the server's idg-obs/v8 metrics JSON.
+  /// Fetches the server's idg-obs/v9 metrics JSON.
   std::string stats();
 
   /// Closes the connection (idempotent; the destructor also closes).

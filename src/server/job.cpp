@@ -63,7 +63,7 @@ clean::MajorCycleResult run_imaging_job(const JobSpec& spec,
   if (spec.retries > 0) {
     SupervisorConfig sup;
     sup.max_attempts_per_group = spec.retries;
-    backend = make_resilient_backend(std::move(backend), nullptr, sup);
+    backend = make_resilient_backend(std::move(backend), sup);
   }
 
   clean::MajorCycleConfig mc = make_major_cycle_config(spec);

@@ -47,7 +47,7 @@ enum class MsgType : std::uint32_t {
   kJobFailed = 8,    ///< S->C: terminal failure/cancel/checkpoint report
   kCancel = 9,       ///< C->S: cancel a job (0 = this connection's job)
   kStats = 10,       ///< C->S: request the server metrics snapshot
-  kStatsReply = 11,  ///< S->C: idg-obs/v8 JSON string
+  kStatsReply = 11,  ///< S->C: idg-obs/v9 JSON string
 };
 
 const char* to_string(MsgType type);

@@ -51,7 +51,7 @@ struct ServerConfig {
   /// Directory for per-job IDGCKPT1 checkpoints (job<id>.ckpt). Required
   /// for specs with checkpoint/resume_job set; "." by default.
   std::string checkpoint_dir = ".";
-  /// When non-empty, write the final idg-obs/v8 metrics here on exit.
+  /// When non-empty, write the final idg-obs/v9 metrics here on exit.
   std::string metrics_json_path;
   /// Install SIGTERM+SIGINT handlers that trigger the graceful drain.
   /// The daemon main enables this; in-process tests use request_stop().

@@ -594,7 +594,7 @@ void ShardedBackend::grid(const Plan& plan, ArrayView<const UVW, 2> uvw,
   sink.record_shard(stage::kShard, counters);
   if (run.retried_groups > 0 || run.quarantined_groups > 0) {
     sink.record_recovery(stage::kShard, run.retried_groups,
-                         run.quarantined_groups, 0);
+                         run.quarantined_groups);
   }
 
   std::lock_guard lock(mutex_);
@@ -682,7 +682,7 @@ void ShardedBackend::degrid(const Plan& plan, ArrayView<const UVW, 2> uvw,
   sink.record_shard(stage::kShard, counters);
   if (run.retried_groups > 0 || run.quarantined_groups > 0) {
     sink.record_recovery(stage::kShard, run.retried_groups,
-                         run.quarantined_groups, 0);
+                         run.quarantined_groups);
   }
 
   std::lock_guard lock(mutex_);

@@ -165,8 +165,8 @@ class DegridJobState {
     if (job_.common.worker_retries > 0) {
       SupervisorConfig config;
       config.max_attempts_per_group = job_.common.worker_retries + 1;
-      auto resilient = std::make_unique<ResilientBackend>(std::move(proc),
-                                                          nullptr, config);
+      auto resilient =
+          std::make_unique<ResilientBackend>(std::move(proc), config);
       resilient_ = resilient.get();
       backend_ = std::move(resilient);
     } else {

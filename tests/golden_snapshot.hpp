@@ -14,7 +14,7 @@ namespace idg::testgolden {
 
 /// Deterministic fixture: one bulk-recorded stage (no latency samples) and
 /// one single-span stage (exactly one histogram sample), so the goldens
-/// pin both shapes of the idg-obs/v8 latency block, plus non-zero
+/// pin both shapes of the idg-obs/v9 latency block, plus non-zero
 /// data-quality counters on both stages (the v4 addition), non-zero
 /// recovery counters (the v5 addition — the resilient supervisor's
 /// record_recovery channel), non-zero shard coordination counters (the
@@ -29,7 +29,7 @@ inline obs::MetricsSnapshot golden_snapshot() {
   sink.record_bytes("adder", 786432);
   sink.record_data_quality("gridder", 7, 0);
   sink.record_data_quality("adder", 0, 128);
-  sink.record_recovery("supervisor", 2, 1, 1);
+  sink.record_recovery("supervisor", 2, 1);
   obs::ShardCounters shard;
   shard.workers_spawned = 4;
   shard.workers_respawned = 1;

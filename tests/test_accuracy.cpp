@@ -9,9 +9,8 @@
 //      operators apply the same sample mask,
 //   3. the dirty image matches a direct double-precision DFT of the same
 //      planned visibilities to within epsilon over the central half of the
-//      field, for every tier; the pipelined and resilient grids are
-//      bit-identical to the synchronous one, extending the proof to all
-//      backends.
+//      field, for every tier; the resilient grid is bit-identical to the
+//      synchronous one, extending the proof to both backends.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -325,7 +324,7 @@ class AccuracyContract : public ::testing::TestWithParam<double> {};
 TEST_P(AccuracyContract, AdjointnessHoldsOnEveryBackend) {
   const double epsilon = GetParam();
   const auto s = ContractSetup::make(epsilon);
-  for (const char* backend : {"synchronous", "pipelined", "resilient"}) {
+  for (const char* backend : {"synchronous", "resilient"}) {
     const double defect = adjointness_defect(s, backend);
     EXPECT_LE(defect, epsilon)
         << "backend " << backend << ", epsilon " << epsilon;
@@ -340,10 +339,9 @@ TEST_P(AccuracyContract, DirtyImageMatchesDftOnEveryBackend) {
       make_dirty_image(grid, s.plan.nr_planned_visibilities(), s.params);
   const double l2 = dft_l2_error(s, dirty);
   EXPECT_LE(l2, epsilon) << "requested epsilon " << epsilon;
-  // The pipelined and resilient executors produce bit-identical grids
-  // (same kernels, same deterministic tile adder), so the l2 proof above
-  // covers them too; pin that equivalence here.
-  EXPECT_TRUE(grids_bit_identical(grid, s.run_grid("pipelined")));
+  // The resilient backend produces a bit-identical grid (it runs the same
+  // executor into a scratch copy), so the l2 proof above covers it too;
+  // pin that equivalence here.
   EXPECT_TRUE(grids_bit_identical(grid, s.run_grid("resilient")));
 }
 
@@ -360,7 +358,7 @@ TEST(AccuracyContractFlagged, AdjointnessHoldsUnderFlagPolicies) {
     sim::apply_rfi_flags(s.ds, 0.05, 11);
     const double defect = adjointness_defect(s, "synchronous");
     EXPECT_LE(defect, 1e-3) << "policy " << to_string(policy);
-    EXPECT_LE(adjointness_defect(s, "pipelined"), 1e-3)
+    EXPECT_LE(adjointness_defect(s, "resilient"), 1e-3)
         << "policy " << to_string(policy);
   }
 }
@@ -396,7 +394,7 @@ TEST(BackendOptionsTest, StringAndStructFormsProduceIdenticalGrids) {
   const auto s = ContractSetup::make(1e-1);
   Parameters params = s.params;
   params.epsilon.reset();  // pre-contract configuration
-  for (const char* name : {"synchronous", "pipelined"}) {
+  for (const char* name : {"synchronous", "resilient"}) {
     auto via_string = make_backend(name, params);
     BackendOptions options;
     options.executor = name;
@@ -416,7 +414,7 @@ TEST(BackendOptionsTest, StringAndStructFormsProduceIdenticalGrids) {
 TEST(BackendOptionsTest, SupervisorOptionWrapsNonResilientExecutors) {
   const auto s = ContractSetup::make(1e-1);
   BackendOptions options;
-  options.executor = "pipelined";
+  options.executor = "synchronous";
   SupervisorConfig supervisor;
   supervisor.max_attempts_per_group = 5;
   options.supervisor = supervisor;
@@ -434,7 +432,7 @@ TEST(BackendOptionsTest, MismatchedAtermRasterIsRejectedByName) {
   auto stale = sim::make_identity_aterms(1, s.params.nr_stations, 24);
   Array3D<cfloat> grid(kNrPolarizations, s.params.grid_size,
                        s.params.grid_size);
-  for (const char* name : {"synchronous", "pipelined"}) {
+  for (const char* name : {"synchronous", "resilient"}) {
     try {
       s.backend(name)->grid(s.plan, s.ds.uvw.cview(), s.vis.cview(),
                             s.ds.flag_view(), stale.cview(), grid.view(),
@@ -452,9 +450,9 @@ TEST(BackendOptionsTest, ParseBackendSpecRejectsBadSpellings) {
   EXPECT_THROW(parse_backend_spec("bogus"), Error);
   EXPECT_THROW(parse_backend_spec("resilient:bogus"), Error);
   EXPECT_THROW(parse_backend_spec("resilient:resilient"), Error);
+  EXPECT_THROW(parse_backend_spec("resilient:synchronous"), Error);
   EXPECT_EQ(parse_backend_spec("sync").executor, "synchronous");
-  EXPECT_EQ(parse_backend_spec("async").executor, "pipelined");
-  EXPECT_EQ(parse_backend_spec("resilient:synchronous").inner, "synchronous");
+  EXPECT_EQ(parse_backend_spec("resilient").executor, "resilient");
 }
 
 }  // namespace

@@ -17,7 +17,6 @@
 #include "common/counters.hpp"
 #include "common/error.hpp"
 #include "common/report.hpp"
-#include "common/threadpool.hpp"
 #include "common/timer.hpp"
 #include "common/types.hpp"
 
@@ -27,7 +26,6 @@ using idg::cfloat;
 using idg::Error;
 using idg::Matrix2x2;
 using idg::Options;
-using idg::WorkerPool;
 
 // --- types -----------------------------------------------------------------
 
@@ -297,40 +295,6 @@ TEST(CliTest, CommandLineBeatsEnvironment) {
   ::unsetenv("IDG_BENCH_GRID_SIZE");
 }
 
-// --- worker pool -------------------------------------------------------------
-
-TEST(WorkerPoolTest, CoversEveryIndexExactlyOnce) {
-  idg::WorkerPool pool(3);
-  EXPECT_EQ(pool.nr_threads(), 4u);
-  std::vector<std::atomic<int>> counts(1000);
-  pool.parallel_for(1000,
-                    [&](std::size_t i) { counts[i].fetch_add(1); });
-  for (std::size_t i = 0; i < counts.size(); ++i)
-    ASSERT_EQ(counts[i].load(), 1) << "index " << i;
-}
-
-TEST(WorkerPoolTest, ReusableAcrossJobs) {
-  idg::WorkerPool pool(2);
-  for (int round = 0; round < 50; ++round) {
-    std::atomic<int> sum{0};
-    const std::size_t n = static_cast<std::size_t>(round % 7);  // incl. 0
-    pool.parallel_for(n, [&](std::size_t i) {
-      sum.fetch_add(static_cast<int>(i) + 1);
-    });
-    EXPECT_EQ(sum.load(), static_cast<int>(n * (n + 1) / 2));
-  }
-}
-
-TEST(WorkerPoolTest, ZeroWorkersRunsInlineInOrder) {
-  idg::WorkerPool pool(0);
-  EXPECT_EQ(pool.nr_threads(), 1u);
-  std::vector<std::size_t> seen;
-  pool.parallel_for(5, [&](std::size_t i) { seen.push_back(i); });
-  ASSERT_EQ(seen.size(), 5u);
-  for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(seen[i], i);
-}
-
-
 TEST(CliTest, DuplicateOptionIsRejected) {
   const char* argv[] = {"prog", "--scale=0.5", "--scale", "2"};
   try {
@@ -390,35 +354,6 @@ TEST(CliTest, KnownCatalogueAcceptsListedOptionsAndFlags) {
   Options opts(4, argv, {"paper"}, {"grid"});
   EXPECT_EQ(opts.get("grid", 0L), 64L);
   EXPECT_TRUE(opts.flag("paper"));
-}
-
-TEST(WorkerPoolTest, ExceptionInWorkerPropagatesToCaller) {
-  WorkerPool pool(3);
-  std::atomic<int> executed{0};
-  try {
-    pool.parallel_for(64, [&](std::size_t i) {
-      if (i == 13) throw Error("boom at 13");
-      executed.fetch_add(1, std::memory_order_relaxed);
-    });
-    FAIL() << "expected idg::Error";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("boom at 13"), std::string::npos);
-  }
-  // The pool must stay usable after a failed job.
-  std::atomic<int> again{0};
-  pool.parallel_for(32, [&](std::size_t) {
-    again.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(again.load(), 32);
-}
-
-TEST(WorkerPoolTest, SerialPathPropagatesExceptions) {
-  WorkerPool pool(0);
-  EXPECT_THROW(
-      pool.parallel_for(4, [](std::size_t i) {
-        if (i == 2) throw Error("serial boom");
-      }),
-      Error);
 }
 
 // --- cancellation edge cases (DESIGN.md §12) --------------------------------

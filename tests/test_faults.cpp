@@ -1,12 +1,10 @@
 // Fault-tolerance suite (ctest label `faults`, DESIGN.md §11).
 //
-// Three layers are pinned here:
-//   1. the error-propagation machinery (BoundedQueue close_with_error,
-//      PipelineError) in isolation,
-//   2. the flagged/corrupt-data policies (Parameters::bad_sample_policy)
-//      end to end on both execution backends, including the bit-identity
-//      guarantee of kZeroAndContinue and the exported counters,
-//   3. the deterministic fault-injection harness (common/faultinject.hpp):
+// Two layers are pinned here:
+//   1. the flagged/corrupt-data policies (Parameters::bad_sample_policy)
+//      end to end, including the bit-identity guarantee of
+//      kZeroAndContinue and the exported counters,
+//   2. the deterministic fault-injection harness (common/faultinject.hpp):
 //      every injected failure either recovers per policy or surfaces as a
 //      descriptive idg::Error within bounded time — never a hang, crash or
 //      silently wrong grid. Injection cases GTEST_SKIP unless the build
@@ -18,14 +16,12 @@
 #include <cstring>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/faultinject.hpp"
 #include "idg/backend.hpp"
 #include "idg/parameters.hpp"
-#include "idg/pipelined.hpp"
 #include "idg/plan.hpp"
 #include "idg/processor.hpp"
 #include "idg/scrub.hpp"
@@ -91,87 +87,7 @@ struct DisarmGuard {
   ~DisarmGuard() { fault::Injector::instance().disarm_all(); }
 };
 
-// --- 1. error-propagation machinery -----------------------------------------
-
-TEST(BoundedQueueFaultsTest, CloseWithErrorUnblocksFullQueueProducer) {
-  BoundedQueue<int> queue(1);
-  ASSERT_TRUE(queue.push(1));  // now full
-  std::thread closer([&] {
-    std::this_thread::sleep_for(20ms);
-    queue.close_with_error();
-  });
-  // Would deadlock forever without close_with_error waking the wait.
-  EXPECT_FALSE(queue.push(2));
-  closer.join();
-}
-
-TEST(BoundedQueueFaultsTest, CloseWithErrorDiscardsBacklogAndWakesConsumers) {
-  BoundedQueue<int> queue(4);
-  queue.push(1);
-  queue.push(2);
-  queue.close_with_error(
-      std::make_exception_ptr(Error("stage exploded")));
-  int out = 0;
-  EXPECT_FALSE(queue.pop(out));  // backlog discarded, not drained
-  EXPECT_TRUE(queue.closed());
-  ASSERT_NE(queue.error(), nullptr);
-  try {
-    std::rethrow_exception(queue.error());
-    FAIL();
-  } catch (const Error& e) {
-    EXPECT_STREQ(e.what(), "stage exploded");
-  }
-}
-
-TEST(BoundedQueueFaultsTest, GracefulCloseStillDrains) {
-  BoundedQueue<int> queue(4);
-  queue.push(1);
-  queue.push(2);
-  queue.close();
-  int out = 0;
-  EXPECT_TRUE(queue.pop(out));
-  EXPECT_EQ(out, 1);
-  EXPECT_TRUE(queue.pop(out));
-  EXPECT_EQ(out, 2);
-  EXPECT_FALSE(queue.pop(out));
-  EXPECT_FALSE(queue.push(3));  // refused after close
-}
-
-TEST(BoundedQueueFaultsTest, TimedWaitsReportTimeoutClosedAndOk) {
-  BoundedQueue<int> queue(1);
-  int out = 0;
-  EXPECT_EQ(queue.pop_for(out, 10ms), QueueWaitResult::kTimeout);
-  ASSERT_TRUE(queue.push(7));
-  EXPECT_EQ(queue.push_for(8, 10ms), QueueWaitResult::kTimeout);  // full
-  EXPECT_EQ(queue.pop_for(out, 10ms), QueueWaitResult::kOk);
-  EXPECT_EQ(out, 7);
-  queue.close_with_error();
-  EXPECT_EQ(queue.pop_for(out, 10ms), QueueWaitResult::kClosed);
-  EXPECT_EQ(queue.push_for(9, 10ms), QueueWaitResult::kClosed);
-}
-
-TEST(PipelineErrorTest, FirstFailureWinsAndRethrowsWithContext) {
-  PipelineError error;
-  EXPECT_FALSE(error.failed());
-  error.rethrow_if_failed();  // no-op
-  EXPECT_TRUE(error.set("gridder", 3,
-                        std::make_exception_ptr(Error("kernel died"))));
-  EXPECT_FALSE(error.set("adder", 5,
-                         std::make_exception_ptr(Error("later failure"))));
-  EXPECT_TRUE(error.failed());
-  try {
-    error.rethrow_if_failed();
-    FAIL() << "expected idg::Error";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("stage 'gridder'"), std::string::npos) << what;
-    EXPECT_NE(what.find("work group 3"), std::string::npos) << what;
-    EXPECT_NE(what.find("kernel died"), std::string::npos) << what;
-    EXPECT_EQ(what.find("later failure"), std::string::npos) << what;
-  }
-}
-
-// --- 2. flagged / corrupt-data policies -------------------------------------
+// --- 1. flagged / corrupt-data policies -------------------------------------
 
 TEST(BadSamplePolicyTest, RejectThrowsDescriptivelyOnFlaggedSample) {
   auto s = Setup::make(BadSamplePolicy::kReject);
@@ -216,8 +132,8 @@ TEST(BadSamplePolicyTest, CleanDataGridsIdenticallyUnderEveryPolicy) {
 TEST(BadSamplePolicyTest, ZeroAndContinueIsBitIdenticalToPreScrubbedData) {
   // The acceptance criterion: gridding with flags + kZeroAndContinue equals
   // (bit for bit) gridding a dataset whose flagged samples were zeroed
-  // beforehand, on BOTH backends.
-  for (const char* backend : {"synchronous", "pipelined"}) {
+  // beforehand, on every backend.
+  for (const char* backend : {"synchronous", "resilient"}) {
     auto flagged = Setup::make(BadSamplePolicy::kZeroAndContinue);
     sim::apply_rfi_flags(flagged.ds, 0.05, 11);
 
@@ -272,7 +188,7 @@ TEST(BadSamplePolicyTest, SkipWorkGroupDropsGroupsAndBackendsAgree) {
             s.plan.nr_work_groups());
 
   // Both backends must agree bit for bit on the skipped result.
-  EXPECT_TRUE(grids_bit_identical(grid_skip, s.run_grid("pipelined")));
+  EXPECT_TRUE(grids_bit_identical(grid_skip, s.run_grid("resilient")));
 
   // And the result must differ from gridding everything.
   auto all = Setup::make(BadSamplePolicy::kZeroAndContinue);
@@ -280,7 +196,7 @@ TEST(BadSamplePolicyTest, SkipWorkGroupDropsGroupsAndBackendsAgree) {
 }
 
 TEST(BadSamplePolicyTest, ScrubCountersFlowIntoSinkAndJsonExport) {
-  for (const char* backend : {"synchronous", "pipelined"}) {
+  for (const char* backend : {"synchronous", "resilient"}) {
     auto s = Setup::make(BadSamplePolicy::kZeroAndContinue);
     sim::apply_rfi_flags(s.ds, 0.0);
     s.ds.flags(1, 2, 3) = 1;
@@ -298,12 +214,12 @@ TEST(BadSamplePolicyTest, ScrubCountersFlowIntoSinkAndJsonExport) {
     const std::string json = obs::to_json(snapshot);
     EXPECT_NE(json.find("\"scrubbed_samples\": 3"), std::string::npos)
         << backend;
-    EXPECT_NE(json.find("\"schema\": \"idg-obs/v8\""), std::string::npos);
+    EXPECT_NE(json.find("\"schema\": \"idg-obs/v9\""), std::string::npos);
   }
 }
 
 TEST(BadSamplePolicyTest, DegridZeroAndContinueZeroesFlaggedPredictions) {
-  for (const char* backend_name : {"synchronous", "pipelined"}) {
+  for (const char* backend_name : {"synchronous", "resilient"}) {
     auto s = Setup::make(BadSamplePolicy::kZeroAndContinue);
     sim::apply_rfi_flags(s.ds, 0.0);
     s.ds.flags(2, 4, 1) = 1;
@@ -351,7 +267,7 @@ TEST(BadSamplePolicyTest, DegridRejectThrows) {
                Error);
 }
 
-// --- 3. deterministic fault injection ---------------------------------------
+// --- 2. deterministic fault injection ---------------------------------------
 
 #define SKIP_WITHOUT_INJECTION()                                        \
   if (!fault::compiled_in()) {                                          \
@@ -363,7 +279,7 @@ TEST(FaultInjectorTest, SpecParserAcceptsCatalogueAndRejectsGarbage) {
   SKIP_WITHOUT_INJECTION();
   auto& inj = fault::Injector::instance();
   EXPECT_NO_THROW(inj.arm_from_spec(
-      "pipelined.grid.kernel@2=throw;pipelined.grid.fft=delay:10;"
+      "processor.grid.kernel@2=throw;processor.grid.fft=delay:10;"
       "processor.grid.buffer=corrupt"));
   EXPECT_TRUE(inj.enabled());
   inj.disarm_all();
@@ -407,7 +323,7 @@ TEST_P(FaultSiteTest, InjectedThrowSurfacesAsDescriptiveErrorNotHang) {
   const auto [backend, site] = GetParam();
   fault::Arm arm;
   arm.site = site;
-  arm.index = 1;  // fail mid-pipeline, with groups in flight
+  arm.index = 1;  // fail mid-run, after group 0 completed
   fault::Injector::instance().arm(arm);
 
   auto s = Setup::make();
@@ -432,8 +348,8 @@ TEST_P(FaultSiteTest, InjectedThrowSurfacesAsDescriptiveErrorNotHang) {
     EXPECT_NE(what.find("injected fault"), std::string::npos) << what;
     EXPECT_NE(what.find(site), std::string::npos) << what;
   }
-  // Bounded-time failure: a stuck queue would block far longer (the TSan /
-  // ASan CI jobs run this whole suite, so a latent deadlock trips there).
+  // Bounded-time failure: a hang would block far longer (the TSan / ASan
+  // CI jobs run this whole suite, so a latent deadlock trips there).
   EXPECT_LT(std::chrono::steady_clock::now() - start, 30s);
 }
 
@@ -445,14 +361,7 @@ INSTANTIATE_TEST_SUITE_P(
         SiteCase{"synchronous", "processor.grid.adder"},
         SiteCase{"synchronous", "processor.degrid.splitter"},
         SiteCase{"synchronous", "processor.degrid.fft"},
-        SiteCase{"synchronous", "processor.degrid.kernel"},
-        SiteCase{"pipelined", "pipelined.grid.kernel"},
-        SiteCase{"pipelined", "pipelined.grid.fft"},
-        SiteCase{"pipelined", "pipelined.grid.adder"},
-        SiteCase{"pipelined", "pipelined.grid.push"},
-        SiteCase{"pipelined", "pipelined.degrid.splitter"},
-        SiteCase{"pipelined", "pipelined.degrid.fft"},
-        SiteCase{"pipelined", "pipelined.degrid.kernel"}),
+        SiteCase{"synchronous", "processor.degrid.kernel"}),
     [](const ::testing::TestParamInfo<SiteCase>& info) {
       std::string name = info.param.site;
       for (char& c : name) {
@@ -463,62 +372,39 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(FaultInjectionTest, CorruptedBufferIsDetectedNeverSilentlyGridded) {
   SKIP_WITHOUT_INJECTION();
-  for (const auto& [backend, site] :
-       {std::pair{"synchronous", "processor.grid.buffer"},
-        std::pair{"pipelined", "pipelined.grid.buffer"}}) {
-    fault::Injector::instance().disarm_all();
-    fault::Arm arm;
-    arm.site = site;
-    arm.index = 0;
-    arm.action = fault::Action::kCorrupt;
-    fault::Injector::instance().arm(arm);
+  fault::Arm arm;
+  arm.site = "processor.grid.buffer";
+  arm.index = 0;
+  arm.action = fault::Action::kCorrupt;
+  fault::Injector::instance().arm(arm);
 
-    auto s = Setup::make();
-    try {
-      s.run_grid(backend);
-      FAIL() << "corrupted subgrids reached the grid silently (" << site
-             << ")";
-    } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find("non-finite subgrid data"),
-                std::string::npos)
-          << e.what();
-    }
+  auto s = Setup::make();
+  try {
+    s.run_grid("synchronous");
+    FAIL() << "corrupted subgrids reached the grid silently";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("non-finite subgrid data"),
+              std::string::npos)
+        << e.what();
   }
 }
 
-TEST(FaultInjectionTest, DelayedQueuePushRecoversBitIdentical) {
+TEST(FaultInjectionTest, FailureReleasesResourcesForTheNextRun) {
   SKIP_WITHOUT_INJECTION();
+  // A failed run must leave no poisoned global state: the same setup must
+  // produce a correct grid immediately afterwards.
   auto reference = Setup::make();
-  const auto ref_grid = reference.run_grid("pipelined");
+  const auto ref_grid = reference.run_grid("synchronous");
 
   fault::Arm arm;
-  arm.site = "pipelined.grid.push";
-  arm.action = fault::Action::kDelay;
-  arm.delay_ms = 50;
-  fault::Injector::instance().arm(arm);
-
-  auto delayed = Setup::make();
-  const auto slow_grid = delayed.run_grid("pipelined");
-  EXPECT_GT(fault::Injector::instance().fired("pipelined.grid.push"), 0u);
-  EXPECT_TRUE(grids_bit_identical(slow_grid, ref_grid));
-}
-
-TEST(FaultInjectionTest, PipelinedFailureReleasesResourcesForTheNextRun) {
-  SKIP_WITHOUT_INJECTION();
-  // A failed run must leave no stuck threads or poisoned global state: the
-  // same backend must produce a correct grid immediately afterwards.
-  auto reference = Setup::make();
-  const auto ref_grid = reference.run_grid("pipelined");
-
-  fault::Arm arm;
-  arm.site = "pipelined.grid.adder";
+  arm.site = "processor.grid.adder";
   arm.index = 0;
   fault::Injector::instance().arm(arm);
   auto s = Setup::make();
-  EXPECT_THROW(s.run_grid("pipelined"), Error);
+  EXPECT_THROW(s.run_grid("synchronous"), Error);
 
   fault::Injector::instance().disarm_all();
-  EXPECT_TRUE(grids_bit_identical(s.run_grid("pipelined"), ref_grid));
+  EXPECT_TRUE(grids_bit_identical(s.run_grid("synchronous"), ref_grid));
 }
 
 }  // namespace

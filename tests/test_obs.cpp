@@ -1,29 +1,24 @@
 // Tests for the observability layer (src/obs/): sinks, spans, latency
 // histograms, the timeline tracer, registry, exporters (golden-file schema
-// pin), the BoundedQueue pipeline primitive, backend factory/parity, and
-// descriptive parameter validation.
+// pin), backend factory/parity, and descriptive parameter validation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <fstream>
 #include <limits>
-#include <map>
 #include <set>
 #include <sstream>
-#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "common/threadpool.hpp"
 #include "golden_snapshot.hpp"
 #include "idg/backend.hpp"
 #include "idg/parameters.hpp"
-#include "idg/pipelined.hpp"
 #include "idg/plan.hpp"
 #include "idg/processor.hpp"
+#include "idg/supervisor.hpp"
 #include "idg/wplane.hpp"
 #include "json_mini.hpp"
 #include "obs/export.hpp"
@@ -279,7 +274,7 @@ TEST(ExportTest, CsvMatchesGoldenFile) {
 
 TEST(ExportTest, EmptySnapshotIsValidJson) {
   const std::string json = obs::to_json({});
-  EXPECT_NE(json.find("\"schema\": \"idg-obs/v8\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\": \"idg-obs/v9\""), std::string::npos);
   EXPECT_NE(json.find("\"stages\": []"), std::string::npos);
   EXPECT_NE(json.find("\"total_seconds\": 0"), std::string::npos);
   EXPECT_NO_THROW(testjson::parse(json));
@@ -287,7 +282,7 @@ TEST(ExportTest, EmptySnapshotIsValidJson) {
 
 TEST(ExportTest, JsonParsesAndCarriesLatencyPercentiles) {
   const auto doc = testjson::parse(obs::to_json(golden_snapshot()));
-  EXPECT_EQ(doc.at("schema").string, "idg-obs/v8");
+  EXPECT_EQ(doc.at("schema").string, "idg-obs/v9");
   const auto& stages = doc.at("stages");
   ASSERT_EQ(stages.array.size(), 5u);
   // Stages sort by name: adder (one sampled span), gridder (bulk), server
@@ -330,7 +325,6 @@ TEST(ExportTest, JsonParsesAndCarriesLatencyPercentiles) {
   EXPECT_EQ(supervisor.at("name").string, "supervisor");
   EXPECT_EQ(supervisor.at("retried_work_groups").number, 2.0);
   EXPECT_EQ(supervisor.at("quarantined_work_groups").number, 1.0);
-  EXPECT_EQ(supervisor.at("backend_failovers").number, 1.0);
 }
 
 TEST(ExportTest, EscapesStageNames) {
@@ -516,7 +510,6 @@ TEST(PerfCountersTest, ScopedCountersNoopWithoutSession) {
   obs::AggregateSink sink;
   { obs::Span span(sink, "stage"); }
   EXPECT_FALSE(sink.snapshot().at("stage").hw.any());
-  obs::warm_thread_counters();  // no-op, must not crash
 }
 
 TEST(PerfCountersTest, PerfMetricsSinkForwardsAndAggregates) {
@@ -596,80 +589,6 @@ TEST(PerfCountersTest, LiveSessionMeasuresSpansWhenAvailable) {
   // The hw block then shows up in the v6 export.
   const auto doc = testjson::parse(obs::to_json(sink.snapshot()));
   EXPECT_GT(doc.at("stages").at(0).at("hw").at("cycles").number, 0.0);
-}
-
-// --- BoundedQueue --------------------------------------------------------------
-
-TEST(BoundedQueueTest, DrainsRemainingItemsAfterClose) {
-  BoundedQueue<int> queue(4);
-  queue.push(1);
-  queue.push(2);
-  queue.push(3);
-  queue.close();
-  int out = 0;
-  EXPECT_TRUE(queue.pop(out));
-  EXPECT_EQ(out, 1);
-  EXPECT_TRUE(queue.pop(out));
-  EXPECT_EQ(out, 2);
-  EXPECT_TRUE(queue.pop(out));
-  EXPECT_EQ(out, 3);
-  EXPECT_FALSE(queue.pop(out));  // drained + closed
-  EXPECT_FALSE(queue.pop(out));  // stays closed
-}
-
-TEST(BoundedQueueTest, PopUnblocksOnClose) {
-  BoundedQueue<int> queue(2);
-  std::atomic<bool> returned{false};
-  std::thread consumer([&] {
-    int out = 0;
-    EXPECT_FALSE(queue.pop(out));
-    returned = true;
-  });
-  // The consumer is (very likely) blocked in pop(); close() must wake it.
-  queue.close();
-  consumer.join();
-  EXPECT_TRUE(returned);
-}
-
-TEST(BoundedQueueTest, ConcurrentProducersLoseNothing) {
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 500;
-  BoundedQueue<int> queue(3);  // small capacity forces back-pressure
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&queue, p] {
-      for (int i = 0; i < kPerProducer; ++i)
-        queue.push(p * kPerProducer + i);
-    });
-  }
-  std::vector<std::atomic<int>> seen(kProducers * kPerProducer);
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < 2; ++c) {
-    consumers.emplace_back([&] {
-      int value = 0;
-      while (queue.pop(value)) seen[static_cast<std::size_t>(value)]++;
-    });
-  }
-  for (auto& t : producers) t.join();
-  queue.close();
-  for (auto& t : consumers) t.join();
-  for (std::size_t i = 0; i < seen.size(); ++i)
-    EXPECT_EQ(seen[i], 1) << "item " << i;
-}
-
-TEST(BoundedQueueTest, TracksDepthHighWaterMarkWithinCapacity) {
-  BoundedQueue<int> queue(3);
-  EXPECT_EQ(queue.capacity(), 3u);
-  EXPECT_EQ(queue.max_depth(), 0u);
-  queue.push(1);
-  queue.push(2);
-  EXPECT_EQ(queue.max_depth(), 2u);
-  int out = 0;
-  queue.pop(out);
-  queue.push(3);
-  queue.push(4);
-  EXPECT_EQ(queue.max_depth(), 3u);  // never exceeds the bound
-  EXPECT_LE(queue.max_depth(), queue.capacity());
 }
 
 // --- TraceSink ------------------------------------------------------------------
@@ -791,50 +710,6 @@ TEST(TraceTest, SpanEmitsTraceEventWhenGlobalTraceInstalled) {
   EXPECT_EQ(sink.snapshot().at("traced-stage").invocations, 1u);
 }
 
-TEST(TraceTest, InstrumentedQueueEmitsDepthSamplesWithinBound) {
-  ScopedTrace trace;
-  BoundedQueue<int> queue(2);
-  queue.instrument("test-queue");
-  queue.push(1);
-  queue.push(2);
-  int out = 0;
-  queue.pop(out);
-  queue.pop(out);
-  std::int64_t samples = 0;
-  for (const auto& track : trace.sink().collect()) {
-    for (const auto& e : track.events) {
-      ASSERT_EQ(e.kind, obs::TraceEvent::Kind::kCounter);
-      EXPECT_STREQ(e.name, "test-queue");
-      EXPECT_GE(e.value, 0);
-      EXPECT_LE(e.value, 2);  // never exceeds the queue's bound
-      ++samples;
-    }
-  }
-  EXPECT_EQ(samples, 4);  // one per push + one per pop
-}
-
-TEST(TraceTest, InstrumentedWorkerPoolTracksOccupancy) {
-  ScopedTrace trace;
-  WorkerPool pool(3);
-  pool.instrument("test-pool");
-  EXPECT_EQ(pool.max_active(), 0u);
-  std::atomic<int> done{0};
-  pool.parallel_for(64, [&](std::size_t) {
-    ++done;
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  });
-  EXPECT_EQ(done, 64);
-  EXPECT_GE(pool.max_active(), 1u);
-  EXPECT_LE(pool.max_active(), pool.nr_threads());
-  for (const auto& track : trace.sink().collect()) {
-    for (const auto& e : track.events) {
-      if (e.kind != obs::TraceEvent::Kind::kCounter) continue;
-      EXPECT_GE(e.value, 0);
-      EXPECT_LE(e.value, static_cast<std::int64_t>(pool.nr_threads()));
-    }
-  }
-}
-
 // --- backend factory and parity -------------------------------------------------
 
 struct Setup {
@@ -881,51 +756,58 @@ TEST(BackendTest, FactoryAcceptsAliases) {
   Parameters params;
   params.image_size = 0.01;
   EXPECT_EQ(make_backend("sync", params)->name(), "synchronous");
-  EXPECT_EQ(make_backend("async", params)->name(), "pipelined");
+  EXPECT_EQ(make_backend("processor", params)->name(), "synchronous");
 }
 
 TEST(BackendTest, FactoryRejectsUnknownNamesDescriptively) {
   Parameters params;
   params.image_size = 0.01;
-  try {
-    make_backend("gpu", params);
-    FAIL() << "expected idg::Error";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("gpu"), std::string::npos);
-    EXPECT_NE(what.find("pipelined"), std::string::npos);
-    EXPECT_NE(what.find("synchronous"), std::string::npos);
+  for (const char* name : {"gpu", "pipelined", "async", "resilient:pipelined",
+                           "resilient:synchronous"}) {
+    try {
+      make_backend(name, params);
+      FAIL() << "expected idg::Error for " << name;
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("'") + name + "'"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("valid backends: 'synchronous' 'resilient'"),
+                std::string::npos)
+          << what;
+    }
   }
 }
 
-TEST(BackendTest, ProcessorAndPipelinedReportIdenticalOpCounts) {
+TEST(BackendTest, ProcessorAndResilientReportIdenticalOpCounts) {
   auto s = Setup::make();
   ASSERT_GT(s.plan.nr_work_groups(), 1u);
 
   auto sync = make_backend("synchronous", s.params);
-  auto pipelined = make_backend("pipelined", s.params);
+  auto resilient = make_backend("resilient", s.params);
 
   Array3D<cfloat> grid_sync(4, s.params.grid_size, s.params.grid_size);
-  Array3D<cfloat> grid_async(4, s.params.grid_size, s.params.grid_size);
-  obs::AggregateSink sink_sync, sink_async;
+  Array3D<cfloat> grid_resilient(4, s.params.grid_size, s.params.grid_size);
+  obs::AggregateSink sink_sync, sink_resilient;
 
   // Grid both from the same input, then degrid into separate buffers
   // (degridding overwrites the covered visibility entries).
   sync->grid(s.plan, s.ds.uvw.cview(), s.ds.visibilities.cview(),
              s.aterms.cview(), grid_sync.view(), sink_sync);
-  pipelined->grid(s.plan, s.ds.uvw.cview(), s.ds.visibilities.cview(),
-                  s.aterms.cview(), grid_async.view(), sink_async);
+  resilient->grid(s.plan, s.ds.uvw.cview(), s.ds.visibilities.cview(),
+                  s.aterms.cview(), grid_resilient.view(), sink_resilient);
   Array3D<Visibility> vis_sync(s.ds.nr_baselines(), s.ds.nr_timesteps(),
                                s.ds.nr_channels());
-  Array3D<Visibility> vis_async(s.ds.nr_baselines(), s.ds.nr_timesteps(),
-                                s.ds.nr_channels());
+  Array3D<Visibility> vis_resilient(s.ds.nr_baselines(), s.ds.nr_timesteps(),
+                                    s.ds.nr_channels());
   sync->degrid(s.plan, s.ds.uvw.cview(), grid_sync.cview(), s.aterms.cview(),
                vis_sync.view(), sink_sync);
-  pipelined->degrid(s.plan, s.ds.uvw.cview(), grid_async.cview(),
-                    s.aterms.cview(), vis_async.view(), sink_async);
+  resilient->degrid(s.plan, s.ds.uvw.cview(), grid_resilient.cview(),
+                    s.aterms.cview(), vis_resilient.view(), sink_resilient);
 
+  // The supervisor adds its own stage; every executor stage is shared.
   const auto a = sink_sync.snapshot();
-  const auto b = sink_async.snapshot();
+  auto b = sink_resilient.snapshot();
+  ASSERT_EQ(b.erase(stage::kSupervisor), 1u);
   ASSERT_EQ(a.size(), b.size());
   for (const auto& [stage_name, ma] : a) {
     ASSERT_TRUE(b.count(stage_name)) << stage_name;
@@ -944,125 +826,52 @@ TEST(BackendTest, ProcessorAndPipelinedReportIdenticalOpCounts) {
 
   // And so are the gridded pixels (same kernels, same accumulation order).
   for (std::size_t i = 0; i < grid_sync.size(); ++i) {
-    ASSERT_EQ(grid_sync.data()[i], grid_async.data()[i]) << "pixel " << i;
+    ASSERT_EQ(grid_sync.data()[i], grid_resilient.data()[i]) << "pixel " << i;
   }
 }
 
-TEST(BackendTest, PipelinedThreadsAccumulateIntoOneSink) {
-  auto s = Setup::make();
-  auto pipelined = make_backend("pipelined", s.params);
-  Array3D<cfloat> grid(4, s.params.grid_size, s.params.grid_size);
-  obs::AggregateSink sink;
-  pipelined->grid(s.plan, s.ds.uvw.cview(), s.ds.visibilities.cview(),
-                  s.aterms.cview(), grid.view(), sink);
-  const auto snapshot = sink.snapshot();
-  // Each of the three stages ran once per work group, reported from its own
-  // thread into the shared sink.
-  const auto groups = s.plan.nr_work_groups();
-  EXPECT_EQ(snapshot.at(stage::kGridder).invocations, groups);
-  EXPECT_EQ(snapshot.at(stage::kSubgridFft).invocations, groups);
-  EXPECT_EQ(snapshot.at(stage::kAdder).invocations, groups);
-}
+// --- end-to-end tracing ---------------------------------------------------------
 
-// --- end-to-end pipeline tracing ------------------------------------------------
-
-/// What one traced pipelined grid+degrid run looked like, reduced to its
-/// timing-independent content.
-struct TraceRunSummary {
-  std::multiset<std::pair<std::string, std::int64_t>> spans;  // (stage, group)
-  std::set<int> span_tids;
-  std::map<std::string, std::size_t> queue_samples;  // per counter track
-  std::map<std::string, std::int64_t> queue_max;
-  std::string chrome_json;
-};
-
-TraceRunSummary traced_pipelined_run(const Setup& s) {
+/// What one traced grid+degrid run looked like, reduced to its
+/// timing-independent content: the (stage, work group) span multiset.
+std::multiset<std::pair<std::string, std::int64_t>> traced_run_spans(
+    const Setup& s) {
   ScopedTrace trace;
-  // Backend created while the trace is installed so queues/pools latch it.
-  auto pipelined = make_backend("pipelined", s.params);
+  auto backend = make_backend("synchronous", s.params);
   Array3D<cfloat> grid(4, s.params.grid_size, s.params.grid_size);
   Array3D<Visibility> vis(s.ds.nr_baselines(), s.ds.nr_timesteps(),
                           s.ds.nr_channels());
   obs::AggregateSink sink;
-  pipelined->grid(s.plan, s.ds.uvw.cview(), s.ds.visibilities.cview(),
-                  s.aterms.cview(), grid.view(), sink);
-  pipelined->degrid(s.plan, s.ds.uvw.cview(), grid.cview(), s.aterms.cview(),
-                    vis.view(), sink);
+  backend->grid(s.plan, s.ds.uvw.cview(), s.ds.visibilities.cview(),
+                s.aterms.cview(), grid.view(), sink);
+  backend->degrid(s.plan, s.ds.uvw.cview(), grid.cview(), s.aterms.cview(),
+                  vis.view(), sink);
 
-  TraceRunSummary summary;
+  std::multiset<std::pair<std::string, std::int64_t>> spans;
   for (const auto& track : trace.sink().collect()) {
     EXPECT_EQ(track.dropped, 0u);
     for (const auto& e : track.events) {
-      if (e.kind == obs::TraceEvent::Kind::kSpan) {
-        summary.spans.emplace(e.name, e.value);
-        summary.span_tids.insert(track.tid);
-      } else if (e.kind == obs::TraceEvent::Kind::kCounter &&
-                 std::string_view(e.name).find("pool") ==
-                     std::string_view::npos) {
-        // Queue depth sampling is exactly one event per push/pop, hence
-        // deterministic; pool occupancy sampling depends on worker wakeup
-        // timing and is excluded from the determinism comparison.
-        summary.queue_samples[e.name]++;
-        auto& mx = summary.queue_max[e.name];
-        mx = std::max(mx, e.value);
-      }
+      if (e.kind == obs::TraceEvent::Kind::kSpan) spans.emplace(e.name, e.value);
     }
   }
-  summary.chrome_json = trace.sink().to_chrome_json();
-  return summary;
+  EXPECT_NO_THROW(testjson::parse(trace.sink().to_chrome_json()));
+  return spans;
 }
 
-TEST(PipelinedTraceTest, TimelineShowsConcurrentStagesAndBoundedQueues) {
+TEST(BackendTraceTest, TwoIdenticalRunsTraceIdenticalEventSets) {
   auto s = Setup::make();
-  const std::size_t groups = s.plan.nr_work_groups();
-  ASSERT_GT(groups, 1u);
-  const auto run = traced_pipelined_run(s);
-
-  // The paper's Fig 7 structure: stage spans on >= 3 distinct threads
-  // (grid kernel + adder threads, degrid splitter/fft/kernel threads).
-  EXPECT_GE(run.span_tids.size(), 3u);
-
-  // Every work group left one span per stage, tagged with its group id.
-  for (const char* stage_name :
-       {stage::kGridder, stage::kAdder, stage::kDegridder, stage::kSplitter}) {
-    for (std::size_t g = 0; g < groups; ++g) {
-      EXPECT_EQ(run.spans.count({stage_name, static_cast<std::int64_t>(g)}),
-                1u)
-          << stage_name << " group " << g;
-    }
+  const auto a = traced_run_spans(s);
+  const auto b = traced_run_spans(s);
+  // Identical modulo timestamps: same (stage, group) span multiset, with
+  // one gridder span per work group.
+  EXPECT_EQ(a, b);
+  for (std::size_t g = 0; g < s.plan.nr_work_groups(); ++g) {
+    EXPECT_EQ(a.count({stage::kGridder, static_cast<std::int64_t>(g)}), 1u)
+        << "group " << g;
   }
-  // The subgrid FFT runs once per group in each direction.
-  for (std::size_t g = 0; g < groups; ++g) {
-    EXPECT_EQ(run.spans.count({stage::kSubgridFft,
-                               static_cast<std::int64_t>(g)}), 2u);
-  }
-
-  // All six queue counter tracks reported, with depths within the bound
-  // (3 buffers) and deterministic sample counts (one per push/pop).
-  ASSERT_EQ(run.queue_samples.size(), 6u);
-  for (const auto& [name, mx] : run.queue_max) {
-    EXPECT_LE(mx, 3) << name;  // nr_buffers = 3
-  }
-  EXPECT_EQ(run.queue_samples.at("pipeline:grid:free-buffers"),
-            3 + 2 * groups);
-  EXPECT_EQ(run.queue_samples.at("pipeline:grid:to-kernel"), 2 * groups);
-  EXPECT_EQ(run.queue_samples.at("pipeline:degrid:to-fft"), 2 * groups);
-
-  // The exported Chrome trace is well-formed JSON.
-  EXPECT_NO_THROW(testjson::parse(run.chrome_json));
 }
 
-TEST(PipelinedTraceTest, TwoIdenticalRunsTraceIdenticalEventSets) {
-  auto s = Setup::make();
-  const auto a = traced_pipelined_run(s);
-  const auto b = traced_pipelined_run(s);
-  // Identical modulo timestamps and thread interleaving: same span
-  // multiset, same queue sample counts.
-  EXPECT_EQ(a.spans, b.spans);
-  EXPECT_EQ(a.queue_samples, b.queue_samples);
-}
-
-TEST(PipelinedTraceTest, TraceSessionWritesFileAndUninstalls) {
+TEST(BackendTraceTest, TraceSessionWritesFileAndUninstalls) {
   const std::string path = ::testing::TempDir() + "idg_trace_session.json";
   {
     obs::TraceSession session(path);
@@ -1135,7 +944,7 @@ TEST(ParametersTest, ProcessorRejectsBadParametersAtConstruction) {
   params.image_size = 0.01;
   params.subgrid_size = params.grid_size;  // inconsistent
   EXPECT_THROW(Processor{params}, Error);
-  EXPECT_THROW(make_backend("pipelined", params), Error);
+  EXPECT_THROW(make_backend("resilient", params), Error);
 }
 
 TEST(ParametersTest, EdgeCaseValuesAreCaught) {

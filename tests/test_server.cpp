@@ -509,7 +509,7 @@ TEST(ServerEndToEndTest, StatsReportsTheV8SchemaWithAServerBlock) {
   client.connect();
   ASSERT_EQ(client.submit(small_spec()).state, JobState::kCompleted);
   const std::string json = client.stats();
-  EXPECT_NE(json.find("\"schema\": \"idg-obs/v8\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\": \"idg-obs/v9\""), std::string::npos);
   EXPECT_NE(json.find("\"server\""), std::string::npos);
   EXPECT_NE(json.find("server.tenant.alice"), std::string::npos);
   EXPECT_NE(json.find("\"jobs_completed\": 1"), std::string::npos);

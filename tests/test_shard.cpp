@@ -536,7 +536,7 @@ TEST(ShardCancelTest, SigtermDrainsBothBackendsWithinDeadline) {
   ASSERT_TRUE(shard::drain_requested());
   RunControl ctl;
   ctl.cancel = &shard::drain_token();
-  for (const char* name : {"synchronous", "pipelined"}) {
+  for (const char* name : {"synchronous", "resilient"}) {
     const auto backend = make_backend(name, s.params);
     const auto t0 = std::chrono::steady_clock::now();
     EXPECT_THROW((void)s.grid_with(*backend, obs::null_sink(), ctl),

@@ -1,12 +1,11 @@
 // Tests for W-stacking (w-plane model, plan integration, stacked
-// gridding/degridding) and for the triple-buffered pipelined executor.
+// gridding/degridding).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <random>
 
 #include "idg/image.hpp"
-#include "idg/pipelined.hpp"
 #include "idg/plan.hpp"
 #include "idg/processor.hpp"
 #include "idg/wplane.hpp"
@@ -236,137 +235,6 @@ TEST(WStackTest, GridRoundtripRecoversPointSource) {
   const std::size_t cx = f.params.grid_size / 2 + px;
   const std::size_t cy = f.params.grid_size / 2 + py;
   EXPECT_NEAR(image(0, cy, cx).real(), 1.5f, 0.08f);
-}
-
-// --- pipelined executor -------------------------------------------------------------
-
-TEST(PipelinedTest, MatchesSynchronousProcessorExactly) {
-  sim::BenchmarkConfig cfg;
-  cfg.nr_stations = 8;
-  cfg.nr_timesteps = 64;
-  cfg.nr_channels = 4;
-  cfg.grid_size = 256;
-  cfg.subgrid_size = 24;
-  auto ds = sim::make_benchmark_dataset(cfg);
-
-  Parameters params;
-  params.grid_size = cfg.grid_size;
-  params.subgrid_size = cfg.subgrid_size;
-  params.image_size = ds.image_size;
-  params.nr_stations = cfg.nr_stations;
-  params.kernel_size = 8;
-  params.work_group_size = 4;  // force several in-flight work groups
-  Plan plan(params, ds.uvw, ds.frequencies, ds.baselines);
-  EXPECT_GT(plan.nr_work_groups(), 3u);
-  auto aterms = sim::make_identity_aterms(1, cfg.nr_stations,
-                                          cfg.subgrid_size);
-
-  Processor sync(params);
-  Array3D<cfloat> grid_sync(4, params.grid_size, params.grid_size);
-  sync.grid_visibilities(plan, ds.uvw.cview(), ds.visibilities.cview(),
-                         aterms.cview(), grid_sync.view());
-
-  PipelinedGridder async(params, reference_kernels(), 3);
-  Array3D<cfloat> grid_async(4, params.grid_size, params.grid_size);
-  obs::AggregateSink sink;
-  async.grid_visibilities(plan, ds.uvw.cview(), ds.visibilities.cview(),
-                          aterms.cview(), grid_async.view(), sink);
-
-  // Same kernels, same group order, same accumulation order: bit-identical.
-  for (std::size_t i = 0; i < grid_sync.size(); ++i) {
-    EXPECT_EQ(grid_sync.data()[i], grid_async.data()[i]) << "pixel " << i;
-    if (grid_sync.data()[i] != grid_async.data()[i]) break;
-  }
-  EXPECT_GT(sink.seconds(stage::kGridder), 0.0);
-  EXPECT_GT(sink.seconds(stage::kAdder), 0.0);
-}
-
-TEST(PipelinedTest, WorksWithMoreBuffersThanGroups) {
-  sim::BenchmarkConfig cfg;
-  cfg.nr_stations = 4;
-  cfg.nr_timesteps = 8;
-  cfg.nr_channels = 2;
-  cfg.grid_size = 128;
-  cfg.subgrid_size = 16;
-  auto ds = sim::make_benchmark_dataset(cfg);
-
-  Parameters params;
-  params.grid_size = cfg.grid_size;
-  params.subgrid_size = cfg.subgrid_size;
-  params.image_size = ds.image_size;
-  params.nr_stations = cfg.nr_stations;
-  params.kernel_size = 4;
-  Plan plan(params, ds.uvw, ds.frequencies, ds.baselines);
-  auto aterms = sim::make_identity_aterms(1, cfg.nr_stations,
-                                          cfg.subgrid_size);
-
-  PipelinedGridder async(params, reference_kernels(), 8);
-  Array3D<cfloat> grid(4, params.grid_size, params.grid_size);
-  async.grid_visibilities(plan, ds.uvw.cview(), ds.visibilities.cview(),
-                          aterms.cview(), grid.view());
-  double total = 0.0;
-  for (const auto& v : grid) total += std::abs(v);
-  EXPECT_GT(total, 0.0);
-}
-
-TEST(PipelinedTest, DegridderMatchesSynchronousProcessorExactly) {
-  sim::BenchmarkConfig cfg;
-  cfg.nr_stations = 8;
-  cfg.nr_timesteps = 64;
-  cfg.nr_channels = 4;
-  cfg.grid_size = 256;
-  cfg.subgrid_size = 24;
-  auto ds = sim::make_benchmark_dataset(cfg);
-
-  Parameters params;
-  params.grid_size = cfg.grid_size;
-  params.subgrid_size = cfg.subgrid_size;
-  params.image_size = ds.image_size;
-  params.nr_stations = cfg.nr_stations;
-  params.kernel_size = 8;
-  params.work_group_size = 4;
-  Plan plan(params, ds.uvw, ds.frequencies, ds.baselines);
-  auto aterms = sim::make_identity_aterms(1, cfg.nr_stations,
-                                          cfg.subgrid_size);
-
-  // A non-trivial grid to degrid from.
-  Array3D<cfloat> grid(4, params.grid_size, params.grid_size);
-  std::mt19937 rng(7);
-  std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
-  for (auto& v : grid) v = {dist(rng), dist(rng)};
-
-  Processor sync(params);
-  Array3D<Visibility> vis_sync(ds.nr_baselines(), ds.nr_timesteps(),
-                               ds.nr_channels());
-  sync.degrid_visibilities(plan, ds.uvw.cview(), grid.cview(),
-                           aterms.cview(), vis_sync.view());
-
-  PipelinedDegridder async(params, reference_kernels(), 3);
-  Array3D<Visibility> vis_async(ds.nr_baselines(), ds.nr_timesteps(),
-                                ds.nr_channels());
-  obs::AggregateSink sink;
-  async.degrid_visibilities(plan, ds.uvw.cview(), grid.cview(),
-                            aterms.cview(), vis_async.view(), sink);
-
-  for (std::size_t i = 0; i < vis_sync.size(); ++i) {
-    for (int p = 0; p < kNrPolarizations; ++p) {
-      ASSERT_EQ(vis_sync.data()[i][p], vis_async.data()[i][p])
-          << "sample " << i << " pol " << p;
-    }
-  }
-  EXPECT_GT(sink.seconds(stage::kDegridder), 0.0);
-  EXPECT_GT(sink.seconds(stage::kSplitter), 0.0);
-  EXPECT_GT(sink.seconds(stage::kSubgridFft), 0.0);
-}
-
-TEST(PipelinedTest, RejectsSingleBuffer) {
-  Parameters params;
-  params.grid_size = 128;
-  params.subgrid_size = 16;
-  params.image_size = 0.01;
-  params.nr_stations = 2;
-  EXPECT_THROW(PipelinedGridder(params, reference_kernels(), 1), Error);
-  EXPECT_THROW(PipelinedDegridder(params, reference_kernels(), 1), Error);
 }
 
 }  // namespace
