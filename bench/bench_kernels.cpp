@@ -17,6 +17,8 @@
 // (--benchmark_filter=..., --benchmark_min_time=..., ...).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <iostream>
@@ -27,6 +29,7 @@
 #include "common/aligned.hpp"
 #include "fft/fft.hpp"
 #include "idg/adder.hpp"
+#include "idg/image.hpp"
 #include "idg/kernels.hpp"
 #include "idg/plan.hpp"
 #include "idg/processor.hpp"
@@ -186,6 +189,30 @@ void BM_Fft2D(benchmark::State& state) {
                          benchmark::Counter::kIsRate);
 }
 
+/// fft_grid_to_image on a [4][n][n] cube: the grid FFT of one imaging
+/// cycle. Each iteration transforms a fresh copy of the same input (the
+/// unnormalized transform would otherwise overflow after a few passes).
+void BM_GridFftCube(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  Array3D<cfloat> input(4, n, n), cube(4, n, n);
+  for (std::size_t i = 0; i < input.size(); ++i)
+    input.data()[i] = cfloat{static_cast<float>(i % 7) - 3.0f,
+                             static_cast<float>(i % 5) - 2.0f};
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::copy(input.begin(), input.end(), cube.begin());
+    state.ResumeTiming();
+    fft_grid_to_image(cube.view());
+    benchmark::DoNotOptimize(cube.data());
+    benchmark::ClobberMemory();
+  }
+  // 5 N log2 N flops per 2-D plane of N = n^2 points.
+  const double points = static_cast<double>(n * n);
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      4.0 * 5.0 * points * std::log2(points) * state.iterations() / 1e9,
+      benchmark::Counter::kIsRate);
+}
+
 BENCHMARK(BM_SubgridFft)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Adder)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Splitter)->Unit(benchmark::kMillisecond);
@@ -193,6 +220,7 @@ BENCHMARK_CAPTURE(BM_Sincos, vmath, &vmath::sincos_batch)->Arg(4096);
 BENCHMARK_CAPTURE(BM_Sincos, lut, &vmath::sincos_lut)->Arg(4096);
 BENCHMARK_CAPTURE(BM_Sincos, libm, &vmath::sincos_libm)->Arg(4096);
 BENCHMARK(BM_Fft2D)->Arg(24)->Arg(32)->Arg(64)->Arg(256);
+BENCHMARK(BM_GridFftCube)->Arg(2048)->Unit(benchmark::kMillisecond);
 
 /// One timed grid+degrid pass per variant, exported as the same idg-obs
 /// JSON the figure benches emit — so a registry sweep yields directly

@@ -146,6 +146,7 @@ void CheckpointReader::extract(void* out, std::size_t size,
                                const char* what) {
   IDG_CHECK(size <= payload_.size() - offset_,
             "checkpoint file truncated reading " << what << ": " << path_);
+  if (size == 0) return;  // `out` may be null (an empty array's data())
   std::memcpy(out, payload_.data() + offset_, size);
   offset_ += size;
 }

@@ -1,28 +1,11 @@
 #include "idg/subgrid_fft.hpp"
 
-#include <map>
-#include <memory>
-#include <mutex>
+#include <algorithm>
 
 #include "common/error.hpp"
 #include "fft/fft.hpp"
 
 namespace idg {
-
-namespace {
-/// Plans are invoked once per work group; cache them process-wide so the
-/// twiddle tables are built only once per (size, direction).
-const fft::Plan2D<float>& cached_plan(std::size_t n, fft::Direction dir) {
-  static std::mutex mutex;
-  static std::map<std::pair<std::size_t, int>,
-                  std::unique_ptr<fft::Plan2D<float>>>
-      cache;
-  std::lock_guard lock(mutex);
-  auto& slot = cache[{n, static_cast<int>(dir)}];
-  if (!slot) slot = std::make_unique<fft::Plan2D<float>>(n, n, dir);
-  return *slot;
-}
-}  // namespace
 
 void subgrid_fft(SubgridFftDirection direction, ArrayView<cfloat, 4> subgrids,
                  std::size_t count) {
@@ -35,40 +18,30 @@ void subgrid_fft(SubgridFftDirection direction, ArrayView<cfloat, 4> subgrids,
   const auto fft_dir = direction == SubgridFftDirection::ToFourier
                            ? fft::Direction::Forward
                            : fft::Direction::Backward;
-  const fft::Plan2D<float>& plan = cached_plan(n, fft_dir);
+  const fft::Plan2D<float>& plan = fft::cached_plan2d<float>(n, fft_dir);
   const float scale = 1.0f / static_cast<float>(n * n);
-  const std::size_t batches = count * kNrPolarizations;
+  // Each lane block carries L (subgrid, polarization) planes; the last
+  // block is padded with zero lanes.
+  constexpr std::size_t L = fft::kLanes<float>;
+  const std::size_t planes = count * kNrPolarizations;
+  const std::size_t blocks = (planes + L - 1) / L;
   const bool even = n % 2 == 0;
 
 #pragma omp parallel
   {
     fft::Workspace<float> ws;
 #pragma omp for schedule(dynamic)
-    for (std::size_t b = 0; b < batches; ++b) {
-      cfloat* data = subgrids.data() + b * n * n;
-      if (even) {
-        // For even square transforms, shift o FFT o shift equals
-        // checkerboard o FFT o checkerboard (the per-dimension global
-        // signs (-1)^(n/2) cancel in 2-D) — two cheap sign passes, one
-        // fused with the 1/n^2 scaling, instead of two data shuffles.
-        for (std::size_t y = 0; y < n; ++y) {
-          cfloat* row = data + y * n;
-          for (std::size_t x = (y & 1) ? 0 : 1; x < n; x += 2) row[x] = -row[x];
-        }
-        plan.execute_inplace(data, ws);
-        for (std::size_t y = 0; y < n; ++y) {
-          cfloat* row = data + y * n;
-          for (std::size_t x = 0; x < n; ++x) {
-            const float s = ((x + y) & 1) ? -scale : scale;
-            row[x] *= s;
-          }
-        }
-      } else {
-        fft::fftshift2d(data, n, n, -1);
-        plan.execute_inplace(data, ws);
-        fft::fftshift2d(data, n, n, +1);
-        for (std::size_t i = 0; i < n * n; ++i) data[i] *= scale;
-      }
+    for (std::size_t b = 0; b < blocks; ++b) {
+      cfloat* first = subgrids.data() + b * L * n * n;
+      const std::size_t k = std::min(L, planes - b * L);
+      // Even sizes fold the shifts into checkerboard signs (Plan2D).
+      if (!even)
+        for (std::size_t i = 0; i < k; ++i)
+          fft::fftshift2d(first + i * n * n, n, n, -1);
+      plan.transform_planes(first, k, ws, even, scale);
+      if (!even)
+        for (std::size_t i = 0; i < k; ++i)
+          fft::fftshift2d(first + i * n * n, n, n, +1);
     }
   }
 }

@@ -34,11 +34,12 @@
 #include <vector>
 
 #include "idg/backend.hpp"
+#include "obs/metrics.hpp"
 
 namespace idg {
 
 namespace stage {
-inline constexpr const char* kSupervisor = "supervisor";
+inline constexpr const char* kSupervisor = obs::kSupervisorStage;
 }  // namespace stage
 
 // SupervisorConfig (the recovery policy) is defined in idg/backend.hpp so

@@ -1,7 +1,10 @@
 #include "idg/taper.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <mutex>
 #include <numbers>
+#include <tuple>
 
 #include "common/error.hpp"
 
@@ -133,6 +136,31 @@ Array2D<float> make_taper_correction_for(const Parameters& params) {
     }
   }
   return correction;
+}
+
+std::shared_ptr<const Array2D<float>> cached_taper_correction(
+    const Parameters& params) {
+  // A 2048^2 raster is 16 MiB: keep a handful, most recent first.
+  constexpr std::size_t kMaxEntries = 4;
+  using Key = std::tuple<std::size_t, TaperKind, double, std::size_t>;
+  const bool es = params.taper == TaperKind::kES;
+  const Key key{params.grid_size, params.taper,
+                es ? params.es_beta_per_cell : 0.0,
+                es ? params.kernel_size : 0};
+  static std::mutex mutex;
+  static std::vector<std::pair<Key, std::shared_ptr<const Array2D<float>>>>
+      cache;
+  std::lock_guard lock(mutex);
+  auto it = std::find_if(cache.begin(), cache.end(),
+                         [&](const auto& entry) { return entry.first == key; });
+  if (it == cache.end()) {
+    if (cache.size() == kMaxEntries) cache.pop_back();
+    cache.emplace_back(key, std::make_shared<const Array2D<float>>(
+                                make_taper_correction_for(params)));
+    it = cache.end() - 1;
+  }
+  std::rotate(cache.begin(), it, it + 1);
+  return cache.front().second;
 }
 
 }  // namespace idg

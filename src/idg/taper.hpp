@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "common/array.hpp"
@@ -70,5 +71,12 @@ Array2D<float> make_taper_for(const Parameters& params);
 /// edge, and its correction is only meaningful where |taper| clears the
 /// floor).
 Array2D<float> make_taper_correction_for(const Parameters& params);
+
+/// make_taper_correction_for(params), built on first use and cached
+/// process-wide per (grid_size, taper, es_beta_per_cell, kernel_size). The
+/// imaging calls need it every cycle; the cache keeps the few most
+/// recently used rasters.
+std::shared_ptr<const Array2D<float>> cached_taper_correction(
+    const Parameters& params);
 
 }  // namespace idg

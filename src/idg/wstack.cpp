@@ -192,6 +192,7 @@ Array3D<cfloat> WStackProcessor::make_dirty_image(
     ArrayView<const cfloat, 4> grids, std::uint64_t nr_visibilities) const {
   IDG_CHECK(nr_visibilities > 0, "nr_visibilities must be positive");
   const std::size_t g = params_.grid_size;
+  const std::size_t rows = kNrPolarizations * g;
   Array3D<cfloat> accum(kNrPolarizations, g, g);
   Array3D<cfloat> work(kNrPolarizations, g, g);
 
@@ -201,17 +202,22 @@ Array3D<cfloat> WStackProcessor::make_dirty_image(
     fft_grid_to_image(work.view());
     // Undo the plane's residual w phase: multiply by e^{+2 pi i w_p n}.
     apply_w_screen(work.view(), params_, wplanes_.center(p), +1.0);
-    for (std::size_t i = 0; i < accum.size(); ++i)
-      accum.data()[i] += work.data()[i];
+#pragma omp parallel for schedule(static)
+    for (std::size_t row = 0; row < rows; ++row)
+      for (std::size_t x = 0; x < g; ++x)
+        accum.data()[row * g + x] += work.data()[row * g + x];
   }
 
-  const Array2D<float> correction = make_taper_correction_for(params_);
+  const auto correction = cached_taper_correction(params_);
   const float scale = 1.0f / static_cast<float>(nr_visibilities);
 #pragma omp parallel for schedule(static)
-  for (std::size_t p = 0; p < kNrPolarizations; ++p)
-    for (std::size_t y = 0; y < g; ++y)
-      for (std::size_t x = 0; x < g; ++x)
-        accum(p, y, x) *= scale * correction(y, x);
+  for (std::size_t y = 0; y < g; ++y) {
+    const float* c = correction->data() + y * g;
+    for (std::size_t p = 0; p < kNrPolarizations; ++p) {
+      cfloat* row = accum.data() + (p * g + y) * g;
+      for (std::size_t x = 0; x < g; ++x) row[x] *= scale * c[x];
+    }
+  }
   return accum;
 }
 
@@ -220,14 +226,19 @@ Array4D<cfloat> WStackProcessor::model_image_to_grids(
   const std::size_t g = params_.grid_size;
   IDG_CHECK(model_image.dim(1) == g, "model image size mismatch");
   Array4D<cfloat> grids = make_grids();
-  const Array2D<float> correction = make_taper_correction_for(params_);
+  const auto correction = cached_taper_correction(params_);
 
   for (int p = 0; p < wplanes_.nr_planes(); ++p) {
     auto plane = plane_slice(grids.view(), p);
-    for (std::size_t pol = 0; pol < kNrPolarizations; ++pol)
-      for (std::size_t y = 0; y < g; ++y)
-        for (std::size_t x = 0; x < g; ++x)
-          plane(pol, y, x) = model_image(pol, y, x) * correction(y, x);
+#pragma omp parallel for schedule(static)
+    for (std::size_t y = 0; y < g; ++y) {
+      const float* c = correction->data() + y * g;
+      for (std::size_t pol = 0; pol < kNrPolarizations; ++pol) {
+        const cfloat* in = model_image.data() + (pol * g + y) * g;
+        cfloat* out = &plane(pol, y, 0);
+        for (std::size_t x = 0; x < g; ++x) out[x] = in[x] * c[x];
+      }
+    }
     // Conjugate screen: the degridder restores e^{-2 pi i w n} exactly for
     // w = w_p and corrects the residual per visibility.
     apply_w_screen(plane, params_, wplanes_.center(p), -1.0);

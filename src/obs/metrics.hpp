@@ -237,10 +237,16 @@ struct StageMetrics {
 /// order — the exporters rely on it for a deterministic schema).
 using MetricsSnapshot = std::map<std::string, StageMetrics>;
 
-/// Sum of the wall seconds over all stages.
+/// The resilient backend's supervisor stage. Its span encloses the spans of
+/// the executor it supervises, whose stages already count that time.
+inline constexpr const char* kSupervisorStage = "supervisor";
+
+/// Sum of the wall seconds over all stages, leaving out the enclosing
+/// supervisor stage so supervised work is counted once.
 inline double total_seconds(const MetricsSnapshot& snapshot) {
   double sum = 0.0;
-  for (const auto& [_, m] : snapshot) sum += m.seconds;
+  for (const auto& [name, m] : snapshot)
+    if (name != kSupervisorStage) sum += m.seconds;
   return sum;
 }
 

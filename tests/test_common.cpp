@@ -1,11 +1,15 @@
 // Unit tests for the common substrate: types, arrays, allocator, counters,
 // reporting and CLI parsing.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <complex>
+#include <cstdio>
 #include <cstdint>
+#include <cstdlib>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -13,6 +17,7 @@
 #include "common/aligned.hpp"
 #include "common/array.hpp"
 #include "common/cancel.hpp"
+#include "common/checkpoint.hpp"
 #include "common/cli.hpp"
 #include "common/counters.hpp"
 #include "common/error.hpp"
@@ -23,6 +28,8 @@
 namespace {
 
 using idg::cfloat;
+using idg::CheckpointReader;
+using idg::CheckpointWriter;
 using idg::Error;
 using idg::Matrix2x2;
 using idg::Options;
@@ -96,6 +103,51 @@ TEST(AlignedTest, ComplexVectorAligned) {
 }
 
 // --- arrays ------------------------------------------------------------------
+
+TEST(AlignedTest, LargeFreedBlockIsReusedForTheSameSize) {
+  if (!idg::detail::kCacheLargeBlocks) GTEST_SKIP() << "cache off under ASan";
+  constexpr std::size_t kFloats =
+      idg::detail::LargeBlockCache::kMinBytes / sizeof(float);
+  idg::detail::LargeBlockCache::instance().release();
+  const float* first = nullptr;
+  {
+    idg::AlignedVector<float> v(kFloats, 1.0f);
+    first = v.data();
+  }
+  // Same size: the kept block comes back, 64-byte aligned and initialized.
+  idg::AlignedVector<float> again(kFloats);
+  EXPECT_EQ(again.data(), first);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(again.data()) % 64, 0u);
+  EXPECT_EQ(again.front(), 0.0f);
+  EXPECT_EQ(again.back(), 0.0f);
+}
+
+TEST(AlignedTest, LargeAllocationOfAnotherSizeReleasesKeptBlocks) {
+  if (!idg::detail::kCacheLargeBlocks) GTEST_SKIP() << "cache off under ASan";
+  constexpr std::size_t kBytes = idg::detail::LargeBlockCache::kMinBytes;
+  auto& cache = idg::detail::LargeBlockCache::instance();
+  void* kept = std::aligned_alloc(64, kBytes);
+  ASSERT_NE(kept, nullptr);
+  cache.give(kept, kBytes);
+  // A miss empties the cache, so a later request of the kept size misses.
+  EXPECT_EQ(cache.take(2 * kBytes), nullptr);
+  EXPECT_EQ(cache.take(kBytes), nullptr);
+}
+
+TEST(AlignedTest, ForkReleasesKeptBlocks) {
+  if (!idg::detail::kCacheLargeBlocks) GTEST_SKIP() << "cache off under ASan";
+  constexpr std::size_t kBytes = idg::detail::LargeBlockCache::kMinBytes;
+  auto& cache = idg::detail::LargeBlockCache::instance();
+  void* kept = std::aligned_alloc(64, kBytes);
+  ASSERT_NE(kept, nullptr);
+  cache.give(kept, kBytes);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) ::_exit(0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_EQ(cache.take(kBytes), nullptr);
+}
 
 TEST(ArrayTest, RowMajorLayout) {
   idg::Array3D<int> a(2, 3, 4);
@@ -364,6 +416,29 @@ TEST(CliTest, KnownCatalogueAcceptsListedOptionsAndFlags) {
 // job is cancelled before it ever starts — see the server's
 // deadline-while-queued test), and request_cancel must be safe against a
 // CancelScope tearing down concurrently on another thread.
+
+TEST(CheckpointTest, ZeroLengthFieldRoundTrips) {
+  // An empty array's data() is null; reading it back must not hand that
+  // null pointer to memcpy.
+  const std::vector<float> empty;
+  CheckpointWriter writer;
+  writer.write_pod(std::uint32_t{7});
+  writer.write_array(empty.data(), empty.size());
+  writer.write_pod(std::uint32_t{9});
+  const std::string path = ::testing::TempDir() + "zero_length.ckpt";
+  writer.commit(path, "IDGTEST1");
+
+  CheckpointReader reader(path, "IDGTEST1");
+  std::uint32_t before = 0, after = 0;
+  std::vector<float> back;
+  reader.read_pod(before, "before");
+  reader.read_array(back.data(), back.size(), "empty field");
+  reader.read_pod(after, "after");
+  reader.finish();
+  EXPECT_EQ(before, 7u);
+  EXPECT_EQ(after, 9u);
+  std::remove(path.c_str());
+}
 
 TEST(CancelTokenTest, ZeroDeadlineNeverExpires) {
   idg::CancelToken token(0);

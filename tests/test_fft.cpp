@@ -1,16 +1,22 @@
-// Unit and property tests for the FFT substrate (src/fft).
+// Unit and property tests for the FFT substrate (src/fft) and the grid and
+// subgrid transforms built on it (idg/image.hpp, idg/subgrid_fft.hpp).
 //
 // Ground truth is the O(n^2) naive DFT. Tolerances scale with transform
 // length because rounding error grows ~ O(sqrt(log n)) per butterfly level.
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <numbers>
 #include <random>
 #include <vector>
 
+#include "common/array.hpp"
 #include "fft/fft.hpp"
+#include "idg/image.hpp"
+#include "idg/subgrid_fft.hpp"
 
 namespace {
 
@@ -121,7 +127,7 @@ INSTANTIATE_TEST_SUITE_P(
                       // primes and prime-ish sizes exercise Bluestein:
                       11, 13, 17, 31, 97, 101, 211,
                       // pipeline sizes:
-                      512, 1024, 2048));
+                      512, 1024, 1536, 2048, 3072));
 
 // ---------------------------------------------------------------------------
 
@@ -265,6 +271,186 @@ INSTANTIATE_TEST_SUITE_P(Sizes, Fft2DSizes,
                                            Dims{32, 32}, Dims{48, 48},
                                            Dims{64, 64}, Dims{16, 24},
                                            Dims{5, 7}, Dims{128, 128}));
+
+TEST(Fft2D, DoublePlanOnFiveSevenSmoothSize) {
+  const std::size_t n = 35;  // 5 * 7: the generic odd-radix butterfly
+  std::mt19937 rng(4);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  std::vector<std::complex<double>> x(n * n);
+  for (auto& v : x) v = {dist(rng), dist(rng)};
+
+  std::vector<std::complex<double>> expected = x;
+  for (std::size_t r = 0; r < n; ++r) {
+    std::vector<std::complex<double>> row(expected.begin() + r * n,
+                                          expected.begin() + (r + 1) * n);
+    auto t = idg::fft::naive_dft(row, Direction::Backward);
+    std::copy(t.begin(), t.end(), expected.begin() + r * n);
+  }
+  for (std::size_t c = 0; c < n; ++c) {
+    std::vector<std::complex<double>> col(n);
+    for (std::size_t r = 0; r < n; ++r) col[r] = expected[r * n + c];
+    auto t = idg::fft::naive_dft(col, Direction::Backward);
+    for (std::size_t r = 0; r < n; ++r) expected[r * n + c] = t[r];
+  }
+
+  Plan2D<double> plan(n, n, Direction::Backward);
+  Workspace<double> ws;
+  plan.execute_inplace(x.data(), ws);
+  double err = 0.0;
+  for (std::size_t i = 0; i < n * n; ++i)
+    err = std::max(err, std::abs(x[i] - expected[i]));
+  EXPECT_LT(err, 1e-11);
+}
+
+// ---------------------------------------------------------------------------
+// Centred transforms: shift o DFT o shift, the grid and subgrid convention.
+
+/// shift(DFT(shift(plane))) * scale by the naive DFT, in double.
+std::vector<std::complex<float>> centred_dft(
+    std::vector<std::complex<float>> plane, std::size_t n,
+    Direction direction, double scale) {
+  idg::fft::fftshift2d(plane.data(), n, n, -1);
+  std::vector<std::complex<double>> work(plane.begin(), plane.end());
+  for (std::size_t r = 0; r < n; ++r) {
+    std::vector<std::complex<double>> row(work.begin() + r * n,
+                                          work.begin() + (r + 1) * n);
+    auto t = idg::fft::naive_dft(row, direction);
+    std::copy(t.begin(), t.end(), work.begin() + r * n);
+  }
+  for (std::size_t c = 0; c < n; ++c) {
+    std::vector<std::complex<double>> col(n);
+    for (std::size_t r = 0; r < n; ++r) col[r] = work[r * n + c];
+    auto t = idg::fft::naive_dft(col, direction);
+    for (std::size_t r = 0; r < n; ++r) work[r * n + c] = t[r];
+  }
+  std::vector<std::complex<float>> out(n * n);
+  for (std::size_t i = 0; i < n * n; ++i)
+    out[i] = std::complex<float>(work[i] * scale);
+  idg::fft::fftshift2d(out.data(), n, n, +1);
+  return out;
+}
+
+std::vector<std::complex<float>> plane_of(const idg::Array3D<idg::cfloat>& a,
+                                          std::size_t p) {
+  const std::size_t nn = a.dim(1) * a.dim(2);
+  return {a.data() + p * nn, a.data() + (p + 1) * nn};
+}
+
+class CentredSizes : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(CentredSizes, GridToImageMatchesNaiveDft) {
+  const std::size_t n = GetParam();
+  auto x = random_signal(4 * n * n, 61);
+  idg::Array3D<idg::cfloat> cube(4, n, n);
+  std::copy(x.begin(), x.end(), cube.data());
+  idg::fft_grid_to_image(cube.view());
+  for (std::size_t p = 0; p < 4; ++p) {
+    const std::vector<std::complex<float>> in(x.begin() + p * n * n,
+                                              x.begin() + (p + 1) * n * n);
+    EXPECT_LT(max_abs_error(plane_of(cube, p),
+                            centred_dft(in, n, Direction::Backward, 1.0)),
+              tolerance(n * n))
+        << "n=" << n << " pol " << p;
+  }
+}
+
+TEST_P(CentredSizes, SubgridFftIsPositionIndependentAndMatchesNaiveDft) {
+  const std::size_t n = GetParam();
+  const std::size_t count = 37;  // 148 planes: the last lane block is ragged
+  const auto subgrid = random_signal(4 * n * n, 71);
+  const auto filler = random_signal(count * 4 * n * n, 72);
+
+  // The subgrid alone, then first, in the middle and last of a batch.
+  idg::Array4D<idg::cfloat> single(1, 4, n, n);
+  std::copy(subgrid.begin(), subgrid.end(), single.data());
+  idg::subgrid_fft(idg::SubgridFftDirection::ToFourier, single.view(), 1);
+  for (const std::size_t at : {std::size_t{0}, count / 2, count - 1}) {
+    idg::Array4D<idg::cfloat> batch(count, 4, n, n);
+    std::copy(filler.begin(), filler.end(), batch.data());
+    std::copy(subgrid.begin(), subgrid.end(), batch.data() + at * 4 * n * n);
+    idg::subgrid_fft(idg::SubgridFftDirection::ToFourier, batch.view(), count);
+    EXPECT_EQ(std::memcmp(batch.data() + at * 4 * n * n, single.data(),
+                          single.bytes()),
+              0)
+        << "subgrid " << at << " of " << count;
+  }
+
+  const double scale = 1.0 / static_cast<double>(n * n);
+  for (std::size_t p = 0; p < 4; ++p) {
+    const std::vector<std::complex<float>> in(
+        subgrid.begin() + p * n * n, subgrid.begin() + (p + 1) * n * n);
+    const std::vector<std::complex<float>> got(
+        single.data() + p * n * n, single.data() + (p + 1) * n * n);
+    EXPECT_LT(max_abs_error(got, centred_dft(in, n, Direction::Forward, scale)),
+              tolerance(n * n) * scale)
+        << "n=" << n << " pol " << p;
+  }
+}
+
+// Even sizes fold the shifts into checkerboard signs; odd sizes shift.
+INSTANTIATE_TEST_SUITE_P(Sizes, CentredSizes,
+                         ::testing::Values(24, 25, 32, 15));
+
+TEST(GridFft, ResultDoesNotDependOnThreadCount) {
+  const std::size_t n = 512;
+  const auto x = random_signal(4 * n * n, 81);
+  idg::Array3D<idg::cfloat> one(4, n, n), four(4, n, n);
+  std::copy(x.begin(), x.end(), one.data());
+  std::copy(x.begin(), x.end(), four.data());
+  const int threads = omp_get_max_threads();
+  omp_set_num_threads(1);
+  idg::fft_grid_to_image(one.view());
+  omp_set_num_threads(4);
+  idg::fft_grid_to_image(four.view());
+  omp_set_num_threads(threads);
+  EXPECT_EQ(std::memcmp(one.data(), four.data(), one.bytes()), 0);
+}
+
+TEST(GridFft, DeltaPixelsBecomePlaneWavesAt2048) {
+  // grid delta a at (y0, x0) -> image a * exp(+2 pi i ((x0 - n/2)(x - n/2)
+  // + (y0 - n/2)(y - n/2)) / n), summed over the deltas of each plane.
+  const std::size_t n = 2048;
+  struct Delta {
+    std::size_t pol, y, x;
+    std::complex<double> a;
+  };
+  const std::vector<Delta> deltas = {{0, 1024, 1024, {1.0, 0.0}},
+                                     {0, 1030, 1000, {0.5, -0.25}},
+                                     {1, 17, 2040, {-0.75, 0.5}},
+                                     {2, 1500, 3, {0.0, 1.0}},
+                                     {3, 1024, 1025, {0.25, 0.25}},
+                                     {3, 2047, 0, {1.0, 0.5}}};
+  idg::Array3D<idg::cfloat> cube(4, n, n);
+  for (const Delta& d : deltas)
+    cube(d.pol, d.y, d.x) = std::complex<float>(d.a);
+  idg::fft_grid_to_image(cube.view());
+
+  std::vector<std::complex<double>> root(n);
+  for (std::size_t k = 0; k < n; ++k)
+    root[k] = std::polar(1.0, 2.0 * std::numbers::pi * static_cast<double>(k) /
+                                  static_cast<double>(n));
+  const auto centred = [&](std::size_t i) {
+    return static_cast<long>(i) - static_cast<long>(n / 2);
+  };
+  double err = 0.0;
+  for (std::size_t p = 0; p < 4; ++p) {
+    for (std::size_t y = 0; y < n; ++y) {
+      for (std::size_t x = 0; x < n; ++x) {
+        std::complex<double> expected{};
+        for (const Delta& d : deltas) {
+          if (d.pol != p) continue;
+          const long phase = centred(d.x) * centred(x) + centred(d.y) * centred(y);
+          const long k = ((phase % static_cast<long>(n)) + static_cast<long>(n)) %
+                         static_cast<long>(n);
+          expected += d.a * root[static_cast<std::size_t>(k)];
+        }
+        err = std::max(err, std::abs(std::complex<double>(cube(p, y, x)) -
+                                     expected));
+      }
+    }
+  }
+  EXPECT_LT(err, 1e-5);
+}
 
 // ---------------------------------------------------------------------------
 

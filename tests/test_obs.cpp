@@ -830,6 +830,43 @@ TEST(BackendTest, ProcessorAndResilientReportIdenticalOpCounts) {
   }
 }
 
+TEST(BackendTest, ResilientTotalSecondsCountsSupervisedWorkOnce) {
+  auto s = Setup::make();
+  auto sync = make_backend("synchronous", s.params);
+  auto resilient = make_backend("resilient", s.params);
+  Array3D<cfloat> grid(4, s.params.grid_size, s.params.grid_size);
+  obs::AggregateSink sink_sync, sink_resilient;
+  sync->grid(s.plan, s.ds.uvw.cview(), s.ds.visibilities.cview(),
+             s.aterms.cview(), grid.view(), sink_sync);
+  grid.zero();
+  resilient->grid(s.plan, s.ds.uvw.cview(), s.ds.visibilities.cview(),
+                  s.aterms.cview(), grid.view(), sink_resilient);
+
+  // The supervisor span encloses the executor stages: it lasts at least as
+  // long as they do, and the total counts only the executor stages.
+  auto executor_total = [](const obs::MetricsSnapshot& snapshot) {
+    double sum = 0.0;
+    for (const auto& [name, m] : snapshot)
+      if (name != stage::kSupervisor) sum += m.seconds;
+    return sum;
+  };
+  const auto resilient_snapshot = sink_resilient.snapshot();
+  ASSERT_TRUE(resilient_snapshot.count(stage::kSupervisor));
+  EXPECT_GE(resilient_snapshot.at(stage::kSupervisor).seconds,
+            executor_total(resilient_snapshot));
+  EXPECT_DOUBLE_EQ(sink_resilient.total_seconds(),
+                   executor_total(resilient_snapshot));
+
+  // Identical executor work reports the identical total, whether or not a
+  // supervisor stage wraps it.
+  const auto sync_snapshot = sink_sync.snapshot();
+  obs::MetricsSnapshot wrapped = sync_snapshot;
+  wrapped[stage::kSupervisor].seconds = executor_total(sync_snapshot);
+  EXPECT_DOUBLE_EQ(obs::total_seconds(wrapped),
+                   obs::total_seconds(sync_snapshot));
+  EXPECT_DOUBLE_EQ(sink_sync.total_seconds(), executor_total(sync_snapshot));
+}
+
 // --- end-to-end tracing ---------------------------------------------------------
 
 /// What one traced grid+degrid run looked like, reduced to its
