@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks for the individual components: kernel
 // variants (the §V-B optimization ablation, DESIGN.md §14), subgrid FFTs,
-// adder/splitter and the vectorized math library.
+// adder/splitter, the vectorized math library and the CRC-32 that guards
+// every checkpoint file and wire frame.
 //
 // The gridder/degridder benches are registered dynamically over the kernel
 // registry:
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "common/aligned.hpp"
+#include "common/checkpoint.hpp"
 #include "fft/fft.hpp"
 #include "idg/adder.hpp"
 #include "idg/image.hpp"
@@ -213,6 +215,19 @@ void BM_GridFftCube(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 
+/// CRC-32 over a buffer the size of a sharded job frame (bytes/s).
+void BM_Crc32(benchmark::State& state) {
+  const std::size_t size = static_cast<std::size_t>(state.range(0));
+  std::vector<unsigned char> buffer(size);
+  for (std::size_t i = 0; i < size; ++i)
+    buffer[i] = static_cast<unsigned char>(i * 2654435761u >> 24);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32(buffer.data(), buffer.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(size));
+}
+
 BENCHMARK(BM_SubgridFft)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Adder)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Splitter)->Unit(benchmark::kMillisecond);
@@ -221,6 +236,7 @@ BENCHMARK_CAPTURE(BM_Sincos, lut, &vmath::sincos_lut)->Arg(4096);
 BENCHMARK_CAPTURE(BM_Sincos, libm, &vmath::sincos_libm)->Arg(4096);
 BENCHMARK(BM_Fft2D)->Arg(24)->Arg(32)->Arg(64)->Arg(256);
 BENCHMARK(BM_GridFftCube)->Arg(2048)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Crc32)->Arg(64 << 20)->Unit(benchmark::kMillisecond);
 
 /// One timed grid+degrid pass per variant, exported as the same idg-obs
 /// JSON the figure benches emit — so a registry sweep yields directly

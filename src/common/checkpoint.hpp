@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <string>
 #include <type_traits>
+#include <utility>
 
 namespace idg {
 
@@ -58,10 +59,10 @@ class CheckpointWriter {
 
   std::size_t payload_size() const { return payload_.size(); }
 
-  /// The accumulated payload, without magic or CRC. The shard wire protocol
-  /// (src/shard/protocol.hpp) reuses the writer as its message serializer
-  /// and frames the payload itself.
-  const std::string& payload() const { return payload_; }
+  /// Moves the accumulated payload, without magic or CRC, out of the
+  /// writer. The shard and server wire protocols reuse the writer as their
+  /// message serializer and frame the payload themselves.
+  std::string take_payload() { return std::move(payload_); }
 
  private:
   void append(const void* data, std::size_t size);

@@ -115,7 +115,7 @@ std::string encode_client_hello(const ClientHelloMsg& msg) {
   w.write_array(kJobMagic, 8);
   w.write_pod(msg.version);
   put_string(w, msg.tenant);
-  return w.payload();
+  return w.take_payload();
 }
 
 ClientHelloMsg decode_client_hello(const std::string& payload) {
@@ -142,7 +142,7 @@ std::string encode_server_hello(const ServerHelloMsg& msg) {
   w.write_array(kJobMagic, 8);
   w.write_pod(msg.version);
   w.write_pod(msg.draining);
-  return w.payload();
+  return w.take_payload();
 }
 
 ServerHelloMsg decode_server_hello(const std::string& payload) {
@@ -173,7 +173,7 @@ std::string encode_job_spec(const JobSpec& spec) {
   w.write_pod(spec.deadline_ms);
   w.write_pod(spec.checkpoint);
   w.write_pod(spec.resume_job);
-  return w.payload();
+  return w.take_payload();
 }
 
 JobSpec decode_job_spec(const std::string& payload) {
@@ -196,7 +196,7 @@ std::string encode_accepted(const AcceptedMsg& msg) {
   CheckpointWriter w;
   w.write_pod(msg.job);
   w.write_pod(msg.queue_position);
-  return w.payload();
+  return w.take_payload();
 }
 
 AcceptedMsg decode_accepted(const std::string& payload) {
@@ -212,7 +212,7 @@ std::string encode_rejected(const RejectedMsg& msg) {
   CheckpointWriter w;
   w.write_pod(static_cast<std::uint32_t>(msg.reason));
   put_string(w, msg.message);
-  return w.payload();
+  return w.take_payload();
 }
 
 RejectedMsg decode_rejected(const std::string& payload) {
@@ -245,7 +245,7 @@ std::string encode_status(const StatusMsg& msg) {
   w.write_pod(msg.job);
   w.write_pod(static_cast<std::uint32_t>(msg.state));
   put_string(w, msg.detail);
-  return w.payload();
+  return w.take_payload();
 }
 
 StatusMsg decode_status(const std::string& payload) {
@@ -266,7 +266,7 @@ std::string encode_result(const ResultMsg& msg) {
   w.write_array(msg.peak_history.data(), msg.peak_history.size());
   put_image(w, msg.model_image);
   put_image(w, msg.residual_image);
-  return w.payload();
+  return w.take_payload();
 }
 
 ResultMsg decode_result(std::string payload) {
@@ -293,7 +293,7 @@ std::string encode_job_failed(const JobFailedMsg& msg) {
   w.write_pod(static_cast<std::uint32_t>(msg.state));
   put_string(w, msg.message);
   w.write_pod(msg.checkpoint_job);
-  return w.payload();
+  return w.take_payload();
 }
 
 JobFailedMsg decode_job_failed(const std::string& payload) {
@@ -310,7 +310,7 @@ JobFailedMsg decode_job_failed(const std::string& payload) {
 std::string encode_cancel(const CancelMsg& msg) {
   CheckpointWriter w;
   w.write_pod(msg.job);
-  return w.payload();
+  return w.take_payload();
 }
 
 CancelMsg decode_cancel(const std::string& payload) {

@@ -1,5 +1,6 @@
 #include "shard/coordinator.hpp"
 
+#include <omp.h>
 #include <poll.h>
 #include <sys/prctl.h>
 #include <sys/socket.h>
@@ -7,6 +8,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -39,14 +41,21 @@ double seconds_since(Clock::time_point t0) {
 // SIGTERM drain plumbing. The handler performs only async-signal-safe work:
 // a sig_atomic flag store plus request_cancel() on the drain token (an
 // atomic store). reset_drain() swaps in a fresh token (cancellation is
-// latched) and deliberately leaks the old one — a handler may still hold
-// the pointer, and test-driven resets are bounded.
+// latched) and retires the old one to a never-destroyed list instead of
+// freeing it: a handler may still hold the pointer, and test-driven resets
+// are bounded. The list keeps retired tokens reachable, so leak checkers
+// do not report them.
 
 volatile std::sig_atomic_t g_drain = 0;
 
 std::atomic<CancelToken*>& drain_slot() {
   static std::atomic<CancelToken*> slot{new CancelToken};
   return slot;
+}
+
+std::vector<CancelToken*>& retired_drain_tokens() {
+  static auto* retired = new std::vector<CancelToken*>;
+  return *retired;
 }
 
 void handle_sigterm(int) { request_drain(); }
@@ -161,14 +170,14 @@ class Run {
       : config_(config),
         plan_(plan),
         ctl_(ctl),
-        job_type_(job_type),
-        job_payload_(job_payload),
+        job_frame_(seal_frame(job_type, job_payload)),
         store_(std::move(store)),
         progress_(std::move(progress)) {}
 
   obs::ShardCounters counters;
   JobReadyMsg ready;
   bool have_ready = false;
+  std::vector<std::uint32_t> worker_threads;  ///< every kJobReady echo
   std::uint64_t retried_groups = 0;
   std::uint64_t quarantined_groups = 0;
   std::uint64_t shards_completed = 0;
@@ -237,14 +246,14 @@ class Run {
     ctl_.check_cancel("shard.coordinator");
   }
 
-  /// Spawns a worker and ships it the job. On an immediate wire failure
-  /// the dead entry is still recorded; the caller's respawn loop decides
-  /// whether to try again.
+  /// Spawns a worker and ships it the job (the frame sealed once per
+  /// call). On an immediate wire failure the dead entry is still recorded;
+  /// the caller's respawn loop decides whether to try again.
   bool spawn_one() {
     WorkerProc w = spawn_worker(config_);
     bool ok = true;
     try {
-      write_frame(w.fd, job_type_, job_payload_);
+      write_frame(w.fd, job_frame_);
     } catch (const WireError&) {
       kill_and_reap(w);
       ok = false;
@@ -364,6 +373,7 @@ class Run {
           ready = msg;
           have_ready = true;
         }
+        worker_threads.push_back(msg.threads);
         w.ready = true;
         break;
       }
@@ -465,8 +475,7 @@ class Run {
   const ShardConfig& config_;
   const Plan& plan_;
   const RunControl& ctl_;
-  MsgType job_type_;
-  const std::string& job_payload_;
+  SealedFrame job_frame_;
   StoreFn store_;
   ProgressFn progress_;
 
@@ -477,6 +486,14 @@ class Run {
   std::size_t remaining_ = 0;
   std::uint32_t respawns_ = 0;
 };
+
+/// Each worker's share of the coordinator's OpenMP team: the workers run
+/// at once, so full teams in every one would oversubscribe the cores.
+std::uint32_t worker_thread_budget(std::size_t nr_workers) {
+  const auto cores = static_cast<std::size_t>(omp_get_max_threads());
+  return static_cast<std::uint32_t>(
+      std::max<std::size_t>(1, cores / nr_workers));
+}
 
 std::uint64_t count_flagged(std::span<const WorkItem> items, FlagView flags) {
   if (flags.size() == 0) return 0;
@@ -531,7 +548,8 @@ void ShardedBackend::grid(const Plan& plan, ArrayView<const UVW, 2> uvw,
 
   const std::string payload =
       encode_grid_job(plan, uvw, visibilities, flags, aterms, ctl.skip_groups,
-                      config_.kernel_set, config_.worker_retries);
+                      config_.kernel_set, config_.worker_retries,
+                      worker_thread_budget(config_.nr_workers));
 
   // In-order merge state: results park in `pending` until every earlier
   // group is done, then the adder applies them strictly ascending — the
@@ -604,6 +622,9 @@ void ShardedBackend::grid(const Plan& plan, ArrayView<const UVW, 2> uvw,
   report_.quarantined_shards.insert(report_.quarantined_shards.end(),
                                     run.quarantined_shards.begin(),
                                     run.quarantined_shards.end());
+  report_.worker_threads.insert(report_.worker_threads.end(),
+                                run.worker_threads.begin(),
+                                run.worker_threads.end());
 }
 
 void ShardedBackend::degrid(const Plan& plan, ArrayView<const UVW, 2> uvw,
@@ -620,7 +641,8 @@ void ShardedBackend::degrid(const Plan& plan, ArrayView<const UVW, 2> uvw,
 
   const std::string payload =
       encode_degrid_job(plan, uvw, grid, flags, aterms, ctl.skip_groups,
-                        config_.kernel_set, config_.worker_retries);
+                        config_.kernel_set, config_.worker_retries,
+                        worker_thread_budget(config_.nr_workers));
 
   double merge_seconds = 0.0;
   std::uint64_t zeroed = 0;
@@ -641,16 +663,16 @@ void ShardedBackend::degrid(const Plan& plan, ArrayView<const UVW, 2> uvw,
         // Scatter the packed rects; items cover disjoint blocks so the
         // arrival order across groups cannot change the result.
         const auto m0 = Clock::now();
-        const auto* src = reinterpret_cast<const Visibility*>(msg.data.data());
-        std::size_t idx = 0;
+        const char* src = msg.data.data();
         for (const WorkItem& item : items) {
+          const std::size_t row =
+              static_cast<std::size_t>(item.nr_channels) * sizeof(Visibility);
+          const auto bl = static_cast<std::size_t>(item.baseline);
+          const auto c0 = static_cast<std::size_t>(item.channel_begin);
           for (int t = 0; t < item.nr_timesteps; ++t) {
-            for (int c = 0; c < item.nr_channels; ++c) {
-              visibilities(static_cast<std::size_t>(item.baseline),
-                           static_cast<std::size_t>(item.time_begin + t),
-                           static_cast<std::size_t>(item.channel_begin + c)) =
-                  src[idx++];
-            }
+            const auto ts = static_cast<std::size_t>(item.time_begin + t);
+            std::memcpy(&visibilities(bl, ts, c0), src, row);
+            src += row;
           }
         }
         // What zero_flagged_outputs() zeroed worker-side for this group —
@@ -692,6 +714,9 @@ void ShardedBackend::degrid(const Plan& plan, ArrayView<const UVW, 2> uvw,
   report_.quarantined_shards.insert(report_.quarantined_shards.end(),
                                     run.quarantined_shards.begin(),
                                     run.quarantined_shards.end());
+  report_.worker_threads.insert(report_.worker_threads.end(),
+                                run.worker_threads.begin(),
+                                run.worker_threads.end());
 }
 
 std::unique_ptr<GridderBackend> make_sharded_backend(const Parameters& params,
@@ -738,7 +763,8 @@ void request_drain() {
 
 void reset_drain() {
   g_drain = 0;
-  drain_slot().store(new CancelToken, std::memory_order_release);
+  retired_drain_tokens().push_back(
+      drain_slot().exchange(new CancelToken, std::memory_order_acq_rel));
 }
 
 const CancelToken& drain_token() {

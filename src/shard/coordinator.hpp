@@ -53,6 +53,9 @@ inline constexpr const char* kShardMerge = "shard-merge";
 }  // namespace stage
 
 struct ShardConfig {
+  /// Worker processes. Each runs an OpenMP team of max(1, the
+  /// coordinator's omp_get_max_threads() / nr_workers) threads, so the
+  /// pool shares the cores instead of oversubscribing them.
   std::size_t nr_workers = 2;
   /// Shards to cut the plan into; 0 derives 2x nr_workers so rebalancing
   /// after a death always has queued work to hand out.
@@ -91,6 +94,9 @@ struct ShardRunReport {
   std::uint64_t shards_completed = 0;
   std::uint64_t groups_quarantined = 0;
   std::vector<std::size_t> quarantined_shards;
+  /// The OpenMP team size each worker reported running, one entry per
+  /// kJobReady (a worker still decoding when the call ends reports none).
+  std::vector<std::uint32_t> worker_threads;
 };
 
 class ShardedBackend final : public GridderBackend {

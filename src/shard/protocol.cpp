@@ -94,6 +94,19 @@ void protocol_fault_point(const char* site, std::uint32_t type) {
 #endif
 }
 
+SealedFrame seal_raw(std::uint32_t type, std::string_view payload) {
+  return SealedFrame{type, payload, frame_crc(type, payload.size(), payload)};
+}
+
+void write_sealed(int fd, const SealedFrame& frame, const char* fault_site) {
+  protocol_fault_point(fault_site, frame.type);
+  const auto size = static_cast<std::uint64_t>(frame.payload.size());
+  write_all(fd, &frame.type, sizeof(frame.type));
+  write_all(fd, &size, sizeof(size));
+  write_all(fd, frame.payload.data(), frame.payload.size());
+  write_all(fd, &frame.crc, sizeof(frame.crc));
+}
+
 void put_string(CheckpointWriter& w, const std::string& s) {
   w.write_pod(static_cast<std::uint64_t>(s.size()));
   w.write_array(s.data(), s.size());
@@ -139,7 +152,8 @@ void put_job_common(CheckpointWriter& w, const Plan& plan,
                     ArrayView<const Jones, 4> aterms, FlagView flags,
                     std::span<const std::uint8_t> skip_groups,
                     const std::string& kernel_set,
-                    std::uint32_t worker_retries) {
+                    std::uint32_t worker_retries,
+                    std::uint32_t worker_threads) {
   w.write_pod(plan.parameters());
   w.write_pod(static_cast<std::uint64_t>(plan.items().size()));
   w.write_array(plan.items().data(), plan.items().size());
@@ -154,6 +168,7 @@ void put_job_common(CheckpointWriter& w, const Plan& plan,
   w.write_array(skip_groups.data(), skip_groups.size());
   put_string(w, kernel_set);
   w.write_pod(worker_retries);
+  w.write_pod(worker_threads);
 }
 
 JobCommon get_job_common(CheckpointReader& r) {
@@ -188,10 +203,13 @@ JobCommon get_job_common(CheckpointReader& r) {
   std::string kernel_set = get_string(r, "job kernel set");
   std::uint32_t worker_retries = 0;
   r.read_pod(worker_retries, "job worker retries");
+  std::uint32_t worker_threads = 0;
+  r.read_pod(worker_threads, "job worker threads");
+  IDG_CHECK(worker_threads >= 1, "shard job carries a zero thread budget");
   return JobCommon{std::move(plan),       std::move(uvw),
                    std::move(aterms),     std::move(flags),
                    std::move(skip_groups), std::move(kernel_set),
-                   worker_retries};
+                   worker_retries,        worker_threads};
 }
 
 }  // namespace
@@ -213,13 +231,7 @@ const char* to_string(MsgType type) {
 
 void write_frame_raw(int fd, std::uint32_t type, std::string_view payload,
                      const char* fault_site) {
-  protocol_fault_point(fault_site, type);
-  const auto size = static_cast<std::uint64_t>(payload.size());
-  const std::uint32_t crc = frame_crc(type, size, payload);
-  write_all(fd, &type, sizeof(type));
-  write_all(fd, &size, sizeof(size));
-  write_all(fd, payload.data(), payload.size());
-  write_all(fd, &crc, sizeof(crc));
+  write_sealed(fd, seal_raw(type, payload), fault_site);
 }
 
 std::optional<RawFrame> read_frame_raw(int fd, const char* fault_site) {
@@ -250,6 +262,14 @@ void write_frame(int fd, MsgType type, std::string_view payload) {
                   "shard.protocol.write");
 }
 
+SealedFrame seal_frame(MsgType type, std::string_view payload) {
+  return seal_raw(static_cast<std::uint32_t>(type), payload);
+}
+
+void write_frame(int fd, const SealedFrame& frame) {
+  write_sealed(fd, frame, "shard.protocol.write");
+}
+
 std::optional<Frame> read_frame(int fd) {
   std::optional<RawFrame> raw = read_frame_raw(fd, "shard.protocol.read");
   if (!raw) return std::nullopt;
@@ -261,7 +281,7 @@ std::string encode_hello(const HelloMsg& msg) {
   w.write_array(kProtocolMagic, 8);
   w.write_pod(msg.version);
   w.write_pod(msg.pid);
-  return w.payload();
+  return w.take_payload();
 }
 
 HelloMsg decode_hello(const std::string& payload) {
@@ -286,7 +306,7 @@ std::string encode_shard_assign(const ShardAssignMsg& msg) {
   w.write_pod(msg.shard);
   w.write_pod(msg.group_begin);
   w.write_pod(msg.group_end);
-  return w.payload();
+  return w.take_payload();
 }
 
 ShardAssignMsg decode_shard_assign(const std::string& payload) {
@@ -306,7 +326,8 @@ std::string encode_job_ready(const JobReadyMsg& msg) {
   w.write_pod(msg.scrubbed);
   w.write_pod(msg.skipped_samples);
   w.write_pod(msg.has_scrub);
-  return w.payload();
+  w.write_pod(msg.threads);
+  return w.take_payload();
 }
 
 JobReadyMsg decode_job_ready(const std::string& payload) {
@@ -315,6 +336,7 @@ JobReadyMsg decode_job_ready(const std::string& payload) {
   r.read_pod(msg.scrubbed, "ready scrubbed count");
   r.read_pod(msg.skipped_samples, "ready skipped count");
   r.read_pod(msg.has_scrub, "ready scrub flag");
+  r.read_pod(msg.threads, "ready threads");
   r.finish();
   return msg;
 }
@@ -325,7 +347,7 @@ std::string encode_group_result(const GroupResultMsg& msg) {
   w.write_pod(static_cast<std::uint32_t>(msg.kind));
   w.write_pod(msg.count);
   w.write_array(msg.data.data(), msg.data.size());
-  return w.payload();
+  return w.take_payload();
 }
 
 GroupResultMsg decode_group_result(std::string payload) {
@@ -347,7 +369,7 @@ GroupResultMsg decode_group_result(std::string payload) {
 std::string encode_shard_done(std::uint64_t shard) {
   CheckpointWriter w;
   w.write_pod(shard);
-  return w.payload();
+  return w.take_payload();
 }
 
 std::uint64_t decode_shard_done(const std::string& payload) {
@@ -364,7 +386,7 @@ std::string encode_shard_error(const ShardErrorMsg& msg) {
   w.write_pod(msg.group);
   w.write_pod(msg.cancelled);
   put_string(w, msg.message);
-  return w.payload();
+  return w.take_payload();
 }
 
 ShardErrorMsg decode_shard_error(const std::string& payload) {
@@ -383,16 +405,17 @@ std::string encode_grid_job(const Plan& plan, ArrayView<const UVW, 2> uvw,
                             FlagView flags, ArrayView<const Jones, 4> aterms,
                             std::span<const std::uint8_t> skip_groups,
                             const std::string& kernel_set,
-                            std::uint32_t worker_retries) {
+                            std::uint32_t worker_retries,
+                            std::uint32_t worker_threads) {
   CheckpointWriter w;
   put_job_common(w, plan, uvw, aterms, flags, skip_groups, kernel_set,
-                 worker_retries);
+                 worker_retries, worker_threads);
   put_array(w, visibilities);
-  return w.payload();
+  return w.take_payload();
 }
 
-GridJobMsg decode_grid_job(const std::string& payload) {
-  auto r = CheckpointReader::from_payload(payload, "job-grid");
+GridJobMsg decode_grid_job(std::string payload) {
+  auto r = CheckpointReader::from_payload(std::move(payload), "job-grid");
   JobCommon common = get_job_common(r);
   auto visibilities = get_array<Visibility, 3>(r, "job visibilities");
   r.finish();
@@ -404,16 +427,17 @@ std::string encode_degrid_job(const Plan& plan, ArrayView<const UVW, 2> uvw,
                               ArrayView<const Jones, 4> aterms,
                               std::span<const std::uint8_t> skip_groups,
                               const std::string& kernel_set,
-                              std::uint32_t worker_retries) {
+                              std::uint32_t worker_retries,
+                              std::uint32_t worker_threads) {
   CheckpointWriter w;
   put_job_common(w, plan, uvw, aterms, flags, skip_groups, kernel_set,
-                 worker_retries);
+                 worker_retries, worker_threads);
   put_array(w, grid);
-  return w.payload();
+  return w.take_payload();
 }
 
-DegridJobMsg decode_degrid_job(const std::string& payload) {
-  auto r = CheckpointReader::from_payload(payload, "job-degrid");
+DegridJobMsg decode_degrid_job(std::string payload) {
+  auto r = CheckpointReader::from_payload(std::move(payload), "job-degrid");
   JobCommon common = get_job_common(r);
   auto grid = get_array<cfloat, 3>(r, "job grid");
   r.finish();

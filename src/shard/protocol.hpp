@@ -36,7 +36,9 @@
 namespace idg::shard {
 
 inline constexpr const char* kProtocolMagic = "IDGSHRD1";
-inline constexpr std::uint32_t kProtocolVersion = 1;
+/// v2: job frames carry the worker's OpenMP thread budget and kJobReady
+/// echoes the team size the worker applied.
+inline constexpr std::uint32_t kProtocolVersion = 2;
 
 /// Channel-level failure: the peer is gone or the stream is corrupt. The
 /// coordinator maps it to "this worker died".
@@ -112,6 +114,21 @@ std::optional<RawFrame> read_frame_raw(int fd, const char* fault_site);
 /// the worker-failure recovery path.
 void write_frame(int fd, MsgType type, std::string_view payload);
 
+/// A frame whose CRC is already computed: the coordinator ships the same
+/// job frame (tens of MB) to every worker it spawns and checksums it once
+/// per call. `payload` is borrowed and must outlive every write.
+struct SealedFrame {
+  std::uint32_t type = 0;
+  std::string_view payload;
+  std::uint32_t crc = 0;
+};
+
+SealedFrame seal_frame(MsgType type, std::string_view payload);
+
+/// write_frame for a sealed frame: the same bytes on the wire, no CRC
+/// pass. The "shard.protocol.write" fault site still fires on every write.
+void write_frame(int fd, const SealedFrame& frame);
+
 /// Reads one frame. Returns nullopt on a clean EOF at a frame boundary
 /// (the peer closed the channel between messages); throws WireError on a
 /// mid-frame EOF, a CRC/length violation, or any read error, and
@@ -138,6 +155,7 @@ struct JobReadyMsg {
   std::uint64_t scrubbed = 0;         ///< samples neutralized by the scrub
   std::uint64_t skipped_samples = 0;  ///< samples in scrub-dropped groups
   std::uint8_t has_scrub = 0;         ///< a scrub pass actually ran
+  std::uint32_t threads = 0;          ///< OpenMP team size the worker runs
 };
 
 enum class ResultKind : std::uint32_t {
@@ -177,8 +195,8 @@ ShardErrorMsg decode_shard_error(const std::string& payload);
 // Job setup: everything a fresh worker process needs to reconstruct the
 // coordinator's run — Parameters, the plan's parts (items shipped in their
 // final order so Plan::from_parts rebuilds it bit-identically), the input
-// arrays, the caller's skip mask, the kernel-set registry name and the
-// in-worker supervision knob.
+// arrays, the caller's skip mask, the kernel-set registry name, the
+// in-worker supervision knob and the worker's OpenMP thread budget.
 
 /// The shared (direction-independent) slice of a decoded job.
 struct JobCommon {
@@ -189,6 +207,8 @@ struct JobCommon {
   std::vector<std::uint8_t> skip_groups;
   std::string kernel_set;
   std::uint32_t worker_retries = 0;
+  /// The worker's share of the coordinator's cores: its OpenMP team size.
+  std::uint32_t worker_threads = 1;
 
   FlagView flag_view() const {
     return flags.size() == 0 ? FlagView{} : flags.cview();
@@ -210,15 +230,17 @@ std::string encode_grid_job(const Plan& plan, ArrayView<const UVW, 2> uvw,
                             FlagView flags, ArrayView<const Jones, 4> aterms,
                             std::span<const std::uint8_t> skip_groups,
                             const std::string& kernel_set,
-                            std::uint32_t worker_retries);
-GridJobMsg decode_grid_job(const std::string& payload);
+                            std::uint32_t worker_retries,
+                            std::uint32_t worker_threads);
+GridJobMsg decode_grid_job(std::string payload);
 
 std::string encode_degrid_job(const Plan& plan, ArrayView<const UVW, 2> uvw,
                               ArrayView<const cfloat, 3> grid, FlagView flags,
                               ArrayView<const Jones, 4> aterms,
                               std::span<const std::uint8_t> skip_groups,
                               const std::string& kernel_set,
-                              std::uint32_t worker_retries);
-DegridJobMsg decode_degrid_job(const std::string& payload);
+                              std::uint32_t worker_retries,
+                              std::uint32_t worker_threads);
+DegridJobMsg decode_degrid_job(std::string payload);
 
 }  // namespace idg::shard

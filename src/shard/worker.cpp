@@ -1,6 +1,7 @@
 #include "shard/worker.hpp"
 
 #include <fcntl.h>
+#include <omp.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -226,20 +227,25 @@ class DegridJobState {
         result.kind = ResultKind::kSkipped;
       } else {
         result.kind = ResultKind::kVisibilities;
-        std::vector<Visibility> packed;
-        for (const WorkItem& item : plan.work_group(g)) {
+        const auto items = plan.work_group(g);
+        std::size_t count = 0;
+        for (const WorkItem& item : items) count += item.nr_visibilities();
+        result.count = count;
+        result.data.resize(count * sizeof(Visibility));
+        // Pack straight into the frame payload: one row of channels at a
+        // time, in item order.
+        char* out = result.data.data();
+        for (const WorkItem& item : items) {
+          const std::size_t row =
+              static_cast<std::size_t>(item.nr_channels) * sizeof(Visibility);
+          const auto bl = static_cast<std::size_t>(item.baseline);
+          const auto c0 = static_cast<std::size_t>(item.channel_begin);
           for (int t = 0; t < item.nr_timesteps; ++t) {
-            for (int c = 0; c < item.nr_channels; ++c) {
-              packed.push_back(predicted_(
-                  static_cast<std::size_t>(item.baseline),
-                  static_cast<std::size_t>(item.time_begin + t),
-                  static_cast<std::size_t>(item.channel_begin + c)));
-            }
+            const auto ts = static_cast<std::size_t>(item.time_begin + t);
+            std::memcpy(out, &predicted_(bl, ts, c0), row);
+            out += row;
           }
         }
-        result.count = packed.size();
-        result.data.assign(reinterpret_cast<const char*>(packed.data()),
-                           packed.size() * sizeof(Visibility));
       }
       write_frame(out_fd, MsgType::kGroupResult, encode_group_result(result));
     }
@@ -255,6 +261,18 @@ class DegridJobState {
   ResilientBackend* resilient_ = nullptr;
 };
 
+/// Applies the job's core budget to this process's OpenMP team; runs
+/// before the job's Processor and FFT plans are built.
+void apply_thread_budget(const JobCommon& common) {
+  omp_set_num_threads(static_cast<int>(common.worker_threads));
+}
+
+/// kJobReady, echoing the team size this worker now runs.
+void send_ready(int out_fd, JobReadyMsg msg) {
+  msg.threads = static_cast<std::uint32_t>(omp_get_max_threads());
+  write_frame(out_fd, MsgType::kJobReady, encode_job_ready(msg));
+}
+
 int worker_loop(int in_fd, int out_fd) {
   const std::optional<TestDie> die = parse_test_die();
   HelloMsg hello;
@@ -265,20 +283,22 @@ int worker_loop(int in_fd, int out_fd) {
   std::unique_ptr<DegridJobState> degrid_job;
   while (std::optional<Frame> frame = read_frame(in_fd)) {
     switch (frame->type) {
-      case MsgType::kJobGrid:
+      case MsgType::kJobGrid: {
         degrid_job.reset();
-        grid_job =
-            std::make_unique<GridJobState>(decode_grid_job(frame->payload));
-        write_frame(out_fd, MsgType::kJobReady,
-                    encode_job_ready(grid_job->ready()));
+        GridJobMsg job = decode_grid_job(std::move(frame->payload));
+        apply_thread_budget(job.common);
+        grid_job = std::make_unique<GridJobState>(std::move(job));
+        send_ready(out_fd, grid_job->ready());
         break;
-      case MsgType::kJobDegrid:
+      }
+      case MsgType::kJobDegrid: {
         grid_job.reset();
-        degrid_job = std::make_unique<DegridJobState>(
-            decode_degrid_job(frame->payload));
-        write_frame(out_fd, MsgType::kJobReady,
-                    encode_job_ready(degrid_job->ready()));
+        DegridJobMsg job = decode_degrid_job(std::move(frame->payload));
+        apply_thread_budget(job.common);
+        degrid_job = std::make_unique<DegridJobState>(std::move(job));
+        send_ready(out_fd, degrid_job->ready());
         break;
+      }
       case MsgType::kShardAssign: {
         const ShardAssignMsg assign = decode_shard_assign(frame->payload);
         IDG_CHECK(grid_job != nullptr || degrid_job != nullptr,

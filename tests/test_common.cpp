@@ -440,6 +440,69 @@ TEST(CheckpointTest, ZeroLengthFieldRoundTrips) {
   std::remove(path.c_str());
 }
 
+// --- CRC-32 -----------------------------------------------------------------
+//
+// Every IDGCKPT1, IDGDATA2, IDGSHRD1 and IDGJOB1 checksum goes through
+// idg::crc32, so its values are part of the on-disk and wire formats.
+
+/// The plain byte-at-a-time reflected CRC-32 the formats were defined with.
+std::uint32_t crc32_bytewise(const unsigned char* p, std::size_t size,
+                             std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xffffffffu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xffffffffu;
+}
+
+std::vector<unsigned char> seeded_bytes(std::size_t size) {
+  std::vector<unsigned char> bytes(size);
+  std::uint32_t x = 0x9e3779b9u;
+  for (auto& b : bytes) {
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  return bytes;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  EXPECT_EQ(idg::crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(idg::crc32(nullptr, 0), 0u);
+  EXPECT_EQ(idg::crc32("", 0), 0u);
+}
+
+TEST(Crc32Test, ChainingEqualsOneShotForEverySplit) {
+  const auto bytes = seeded_bytes(1024);
+  const std::uint32_t whole = idg::crc32(bytes.data(), bytes.size());
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    const std::uint32_t head = idg::crc32(bytes.data(), split);
+    ASSERT_EQ(idg::crc32(bytes.data() + split, bytes.size() - split, head),
+              whole)
+        << "split at " << split;
+  }
+}
+
+TEST(Crc32Test, MatchesTheBytewiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0-67 cover no full block, one to four blocks, and every tail
+  // length; offsets 0-7 cover every misalignment of the word loads.
+  const auto bytes = seeded_bytes(8 + 67);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 67; ++length) {
+      const unsigned char* p = bytes.data() + offset;
+      ASSERT_EQ(idg::crc32(p, length), crc32_bytewise(p, length))
+          << "offset " << offset << ", length " << length;
+      ASSERT_EQ(idg::crc32(p, length, 0x12345678u),
+                crc32_bytewise(p, length, 0x12345678u))
+          << "seeded, offset " << offset << ", length " << length;
+    }
+  }
+}
+
 TEST(CancelTokenTest, ZeroDeadlineNeverExpires) {
   idg::CancelToken token(0);
   EXPECT_FALSE(token.has_deadline());

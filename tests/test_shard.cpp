@@ -17,10 +17,12 @@
 // default /proc/self/exe worker path re-enters here in worker mode.
 // Injection cases GTEST_SKIP unless built with -DIDG_FAULT_INJECTION=ON.
 #include <gtest/gtest.h>
+#include <omp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -241,6 +243,40 @@ TEST(ProtocolTest, SmallMessageCodecsRoundTrip) {
   EXPECT_EQ(e.message, err.message);
 
   EXPECT_EQ(shard::decode_shard_done(shard::encode_shard_done(13)), 13u);
+
+  shard::JobReadyMsg ready{12, 34, 1, 3};
+  const auto y = shard::decode_job_ready(shard::encode_job_ready(ready));
+  EXPECT_EQ(y.scrubbed, 12u);
+  EXPECT_EQ(y.skipped_samples, 34u);
+  EXPECT_EQ(y.has_scrub, 1);
+  EXPECT_EQ(y.threads, 3u);
+}
+
+TEST(ProtocolTest, SealedFrameWritesTheSameBytesToEveryPeer) {
+  // The coordinator checksums a job frame once and ships it to every
+  // worker: each peer must read exactly what an unsealed write sends.
+  const std::string payload(100000, 'j');
+  const auto sealed = shard::seal_frame(shard::MsgType::kJobGrid, payload);
+  for (int peer = 0; peer < 2; ++peer) {
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    std::thread writer([&] {
+      shard::write_frame(sv[0], sealed);
+      shard::write_frame(sv[0], shard::MsgType::kJobGrid, payload);
+      ::shutdown(sv[0], SHUT_WR);
+    });
+    std::string bytes;
+    char buf[65536];
+    for (ssize_t n; (n = ::read(sv[1], buf, sizeof(buf))) > 0;) {
+      bytes.append(buf, static_cast<std::size_t>(n));
+    }
+    writer.join();
+    const std::size_t frame = 4 + 8 + payload.size() + 4;
+    ASSERT_EQ(bytes.size(), 2 * frame);
+    EXPECT_EQ(bytes.compare(0, frame, bytes, frame, frame), 0);
+    ::close(sv[0]);
+    ::close(sv[1]);
+  }
 }
 
 TEST(ProtocolTest, GridJobRoundTripsPlanAndArraysBitExactly) {
@@ -249,13 +285,14 @@ TEST(ProtocolTest, GridJobRoundTripsPlanAndArraysBitExactly) {
   if (!skip.empty()) skip.front() = 1;
   const std::string payload = shard::encode_grid_job(
       s.plan, s.ds.uvw.cview(), s.ds.visibilities.cview(), s.ds.flag_view(),
-      s.aterms.cview(), skip, "reference", 2);
+      s.aterms.cview(), skip, "reference", 2, 3);
   const shard::GridJobMsg job = shard::decode_grid_job(payload);
 
   EXPECT_EQ(job.common.plan.nr_work_groups(), s.plan.nr_work_groups());
   EXPECT_EQ(job.common.plan.nr_planned_visibilities(),
             s.plan.nr_planned_visibilities());
   EXPECT_EQ(job.common.worker_retries, 2u);
+  EXPECT_EQ(job.common.worker_threads, 3u);
   EXPECT_EQ(job.common.kernel_set, "reference");
   EXPECT_EQ(job.common.skip_groups, skip);
   ASSERT_EQ(job.common.uvw.size(), s.ds.uvw.size());
@@ -327,8 +364,17 @@ TEST(ShardedParityTest, GridIsBitIdenticalForEveryWorkerCount) {
     const auto got = s.grid_with(sharded);
     EXPECT_TRUE(bit_identical(expected, got))
         << "grid diverged with " << workers << " worker(s)";
-    EXPECT_EQ(sharded.report().counters.workers_respawned, 0u);
-    EXPECT_EQ(sharded.report().groups_quarantined, 0u);
+    const auto report = sharded.report();
+    EXPECT_EQ(report.counters.workers_respawned, 0u);
+    EXPECT_EQ(report.groups_quarantined, 0u);
+    // The core budget, read back through each worker's kJobReady echo.
+    const auto budget = static_cast<std::uint32_t>(std::max<std::size_t>(
+        1, static_cast<std::size_t>(omp_get_max_threads()) / workers));
+    ASSERT_FALSE(report.worker_threads.empty());
+    EXPECT_LE(report.worker_threads.size(), workers);
+    for (const std::uint32_t threads : report.worker_threads) {
+      EXPECT_EQ(threads, budget) << workers << " worker(s)";
+    }
   }
 }
 
